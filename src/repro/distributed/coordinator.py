@@ -168,11 +168,9 @@ class DistributedQuery:
 
     # -- merge --------------------------------------------------------------------
 
-    def _merge(self, encoded: List[List[Any]], params: Dict[str, Any]) -> Any:
+    def _merge(self, encoded: List[Any], params: Dict[str, Any]) -> Any:
         pq = self.parallel
-        partials = [
-            [wire.decode_value(value) for value in part] for part in encoded
-        ]
+        partials = [wire.decode_value(part) for part in encoded]
         if pq.mode == "scalar":
             merged = merge_scalar_slots(pq.scalar_spec.slot_kinds, partials)
             return finalize_scalar(pq.scalar_spec, pq.output, merged, params)

@@ -16,7 +16,11 @@ tuples plus pickle.  Three kinds of payload exist —
   tuples, dates, or numpy scalars.  Every tuple is tagged (``__rec__`` /
   ``__tup__``) so decoding is unambiguous, and the private
   ``_NO_VALUE`` sentinel of the scalar merge travels as its own tag
-  (object identity does not survive pickling).
+  (object identity does not survive pickling).  A whole partial is a
+  list: when it is a homogeneous run of one flat record type — what a
+  rows-mode kernel returns — it travels as a single ``__recs__`` frame
+  (type name and fields once, then plain tuples), so neither side pays
+  per-row tagging; any other list encodes value by value.
 * **params** — the user's parameter dict, minus the reserved morsel
   window keys and the cancellation token (a token holds a lock; the
   coordinator checkpoints cancellation between gather steps instead).
@@ -88,6 +92,11 @@ def encode_namespace(namespace: Dict[str, Any]) -> List[Tuple[Any, ...]]:
     return spec
 
 
+def _record_type(type_name: str, fields: Tuple[str, ...]) -> type:
+    """The shared record type a ``(type_name, fields)`` pair names."""
+    return make_record_type(fields, None if type_name == "Row" else type_name)
+
+
 def decode_namespace(spec: List[Tuple[Any, ...]]) -> Dict[str, Any]:
     namespace: Dict[str, Any] = {}
     for entry in spec:
@@ -95,17 +104,38 @@ def decode_namespace(spec: List[Tuple[Any, ...]]) -> Dict[str, Any]:
         if kind == "module":
             namespace[name] = importlib.import_module(entry[2])
         elif kind == "record":
-            type_name, fields = entry[2], entry[3]
-            namespace[name] = make_record_type(
-                fields, None if type_name == "Row" else type_name
-            )
+            namespace[name] = _record_type(entry[2], entry[3])
         else:
             namespace[name] = pickle.loads(entry[2])
     return namespace
 
 
+def _record_frame(rows: list) -> Any:
+    """One ``__recs__`` frame for a non-empty list of records of a single
+    type whose fields hold nothing :func:`encode_value` would rewrite
+    (tuples, lists, ``_NO_VALUE``); None for any other list."""
+    record_type = type(rows[0])
+    if not (issubclass(record_type, tuple) and hasattr(record_type, "_fields")):
+        return None
+    if any(type(row) is not record_type for row in rows):
+        return None
+    value_types = set()
+    for column in zip(*rows):
+        value_types.update(map(type, column))
+    # ``_NO_VALUE`` is the only value here whose type is bare ``object``
+    if any(t is object or issubclass(t, (tuple, list)) for t in value_types):
+        return None
+    return (
+        "__recs__",
+        record_type.__name__,
+        tuple(record_type._fields),
+        [tuple(row) for row in rows],
+    )
+
+
 def encode_value(value: Any) -> Any:
-    """Tag tuples/records/sentinels so decode is unambiguous."""
+    """Tag tuples/records/sentinels so decode is unambiguous; a list
+    encodes element-wise, or as one frame when it is all flat records."""
     if value is _NO_VALUE:
         return ("__noval__",)
     if isinstance(value, tuple):
@@ -117,6 +147,9 @@ def encode_value(value: Any) -> Any:
                 tuple(encode_value(v) for v in value),
             )
         return ("__tup__", tuple(encode_value(v) for v in value))
+    if isinstance(value, list):
+        frame = _record_frame(value) if value else None
+        return frame or [encode_value(v) for v in value]
     return value
 
 
@@ -126,13 +159,14 @@ def decode_value(value: Any) -> Any:
         if tag == "__noval__":
             return _NO_VALUE
         if tag == "__rec__":
-            type_name, fields = value[1], value[2]
-            record_type = make_record_type(
-                fields, None if type_name == "Row" else type_name
-            )
+            record_type = _record_type(value[1], value[2])
             return record_type(*(decode_value(v) for v in value[3]))
+        if tag == "__recs__":
+            return list(map(_record_type(value[1], value[2])._make, value[3]))
         if tag == "__tup__":
             return tuple(decode_value(v) for v in value[1])
+    elif isinstance(value, list):
+        return [decode_value(v) for v in value]
     return value
 
 

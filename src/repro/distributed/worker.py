@@ -72,8 +72,9 @@ def _run_task(
     artifact: Dict[str, Any],
     sources: list,
     params: Dict[str, Any],
-) -> list:
-    """One kernel invocation over the whole local shard (start=0)."""
+) -> Any:
+    """One kernel invocation over the whole local shard (start=0); the
+    partial comes back wire-encoded."""
     shard_rows = len(sources[artifact["morsel_ordinal"]])
     params = dict(params)
     params[MORSEL_START] = 0
@@ -91,9 +92,8 @@ def _run_task(
                     partial.append(_NO_VALUE)
                 else:
                     raise
-        return [wire.encode_value(v) for v in partial]
-    rows = list(artifact["kernels"][0](sources, params))
-    return [wire.encode_value(row) for row in rows]
+        return wire.encode_value(partial)
+    return wire.encode_value(list(artifact["kernels"][0](sources, params)))
 
 
 def worker_main(worker_id: int, tasks: Any, results: Any) -> None:

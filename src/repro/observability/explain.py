@@ -33,6 +33,7 @@ from ..plans.validate import (
     parallel_split,
     validate_plan,
 )
+from .metrics import METRICS
 from .tracer import TRACER, SpanRecord
 
 __all__ = [
@@ -315,6 +316,9 @@ class ExplainAnalysis:
     adaptive: str = ""
     #: multi-process accounting; empty = the run was in-process
     distributed: str = ""
+    #: which path the vectorized kernels took in this process (worker
+    #: processes keep their own counters); empty when none ran
+    kernels: str = ""
     morsels: int = 0
     spans: List[SpanRecord] = field(default_factory=list)
 
@@ -335,6 +339,8 @@ class ExplainAnalysis:
             lines.append(f"distributed: {self.distributed}")
         if self.adaptive:
             lines.append(f"adaptive: {self.adaptive}")
+        if self.kernels:
+            lines.append(f"kernels: {self.kernels}")
         lines.append("phases (wall ms):")
         for stat in self.phases.values():
             lines.append(
@@ -356,6 +362,32 @@ def _fold_phases(spans: List[SpanRecord]) -> Dict[str, PhaseStat]:
         stat.add(record)
     ranked = sorted(stats.values(), key=lambda s: order.get(s.name, len(order)))
     return {stat.name: stat for stat in ranked}
+
+
+_KERNEL_COUNTERS = "runtime.kernels."
+
+
+def _kernel_counts() -> Dict[str, int]:
+    return {
+        name[len(_KERNEL_COUNTERS) :]: value
+        for name, value in METRICS.snapshot().items()
+        if name.startswith(_KERNEL_COUNTERS)
+    }
+
+
+def _kernels_line(before: Dict[str, int], after: Dict[str, int]) -> str:
+    """``dense=3 sorted=1 (dtype=1)`` — the kernels' own account of which
+    factorizations and join builds addressed a table and which sorted."""
+    ran = {k: after[k] - before.get(k, 0) for k in after}
+    dense, sorted_ = ran.get("dense", 0), ran.get("sorted", 0)
+    if not (dense or sorted_):
+        return ""
+    reasons = ", ".join(
+        f"{name[len('sorted.'):]}={count}"
+        for name, count in sorted(ran.items())
+        if name.startswith("sorted.") and count
+    )
+    return f"dense={dense} sorted={sorted_}" + (f" ({reasons})" if reasons else "")
 
 
 def explain_analyze(
@@ -383,6 +415,7 @@ def explain_analyze(
     here, so the phase table gains the ``service.queue_wait`` /
     ``service.execute`` rows.
     """
+    kernels_before = _kernel_counts()
     with TRACER.capture() as spans:
         if runner is not None:
             rows = len(runner())
@@ -460,6 +493,7 @@ def explain_analyze(
         parallel=parallel,
         adaptive=adaptive_line,
         distributed=distributed_line,
+        kernels=_kernels_line(kernels_before, _kernel_counts()),
         morsels=morsels,
         spans=list(spans),
     )

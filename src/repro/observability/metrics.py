@@ -14,7 +14,10 @@ instrumented layers register:
 * ``recycler.*`` — result-buffer reuse
   (:class:`~repro.query.recycler.RecyclingProvider`);
 * ``parallel.*`` — morsel dispatch counts and merge seconds
-  (:class:`~repro.runtime.parallel.ParallelQuery`).
+  (:class:`~repro.runtime.parallel.ParallelQuery`);
+* ``runtime.kernels.dense`` / ``runtime.kernels.sorted`` (+
+  ``.sorted.<reason>``) — one per factorization or join build, by the
+  path it took (:mod:`~repro.runtime.vectorized`).
 
 Everything exports as a plain dict (:meth:`MetricsRegistry.snapshot`) or
 JSON lines (:meth:`MetricsRegistry.to_json_lines`) — the shapes

@@ -9,9 +9,9 @@ across page boundaries:
   aggregates into a running table ("the generated C code contains a
   blocking operation and does not return a result before all input is
   consumed");
-* :class:`StreamingJoinProbe` — a pre-sorted build side probed one page at
-  a time ("transferring data in a single buffer" for the probe relation
-  while "the hash tables require full materialization").
+* :class:`StreamingJoinProbe` — a build side prepared once and probed one
+  page at a time ("transferring data in a single buffer" for the probe
+  relation while "the hash tables require full materialization").
 
 ``avg`` cannot merge across pages, so aggregate specs must be decomposed
 into ``sum`` + shared ``count`` *before* streaming — the code generator
@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ExecutionError
-from .vectorized import group_aggregate, probe_sorted
+from .vectorized import _JoinTable, group_aggregate
 
 __all__ = ["StreamingGroupAggregator", "StreamingJoinProbe"]
 
@@ -94,12 +94,12 @@ class StreamingGroupAggregator:
 
 
 class StreamingJoinProbe:
-    """Build side sorted once; pages probe with binary search."""
+    """Build side prepared once — a direct-address table, or sorted when
+    the keys cannot be addressed directly; pages probe it one at a time."""
 
     def __init__(self, build_keys: np.ndarray):
-        self._order = np.argsort(build_keys, kind="stable")
-        self._sorted = build_keys[self._order]
+        self._table = _JoinTable(build_keys)
 
     def probe(self, probe_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Return (page-local probe indexes, build indexes) for all matches."""
-        return probe_sorted(self._sorted, self._order, probe_keys)
+        return self._table.probe(probe_keys)

@@ -19,6 +19,7 @@ Float columns hold multiples of 0.25 so any summation order yields the
 same bits (same convention as the main differential fuzz).
 """
 
+import datetime
 import multiprocessing
 import os
 import pickle
@@ -26,6 +27,7 @@ import random
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import new
@@ -33,8 +35,10 @@ from repro.distributed import ClusterScheduler, shutdown_pools
 from repro.distributed import shards as shards_mod
 from repro.distributed import wire
 from repro.errors import DistributedError, ExecutionError, UnsupportedQueryError
+from repro.expressions import make_record_type
 from repro.observability import METRICS
 from repro.query import QueryProvider, from_struct_array
+from repro.runtime.parallel import _NO_VALUE
 from repro.storage import Field, Schema, StructArray
 
 T1 = Schema(
@@ -301,6 +305,56 @@ def test_corpus_size_and_engagement():
     assert len(_COVERAGE) >= 100, len(_COVERAGE)
     assert {name for _, name in _COVERAGE} == {s.__name__ for s in SHAPES}
     assert METRICS.counter("dist.tasks_dispatched").value > 0
+
+
+# ---------------------------------------------------------------------------
+# Wire framing of partials: one frame for flat records, per value otherwise
+# ---------------------------------------------------------------------------
+
+
+def _roundtrip(partial):
+    encoded = wire.encode_value(partial)
+    return encoded, wire.decode_value(pickle.loads(pickle.dumps(encoded)))
+
+
+def test_flat_record_partial_ships_as_one_frame():
+    Row = make_record_type(("k", "v", "s", "d"))
+    rows = [
+        Row(1, 0.25, "aa", datetime.date(1995, 3, 1)),
+        Row(np.int64(2), np.float64(-0.0), "", datetime.date(1970, 1, 1)),
+    ]
+    encoded, decoded = _roundtrip(rows)
+    assert encoded[:3] == ("__recs__", "Row", ("k", "v", "s", "d"))
+    assert all(type(row) is tuple for row in encoded[3])
+    assert decoded == rows
+    assert [type(row) for row in decoded] == [Row, Row]
+    assert [type(v) for v in decoded[1]] == [type(v) for v in rows[1]]
+
+    named = make_record_type(("a",), "Named")
+    encoded, decoded = _roundtrip([named(1), named(2)])
+    assert encoded[:2] == ("__recs__", "Named")
+    assert [type(row) for row in decoded] == [named, named]
+
+    # anything irregular keeps the per-value tagging, and still round-trips
+    other = make_record_type(("k", "v"))
+    irregular = [
+        [],  # nothing to frame
+        [Row(1, (2, 3), "x", None)],  # nested tuple
+        [Row(1, [other(1, 2)], "x", None)],  # nested list
+        [Row(1, 2, 3, 4), other(1, 2)],  # two record types
+        [Row(1, 2, 3, 4), (1, 2, 3, 4)],  # a plain tuple among records
+        [(1, 2), (3, 4)],  # plain tuples only
+        [Row(1, _NO_VALUE, 3, 4)],  # the merge sentinel inside a record
+        [_NO_VALUE, 1.5, None],  # a scalar partial
+        [3, 4],  # scalar rows
+    ]
+    for partial in irregular:
+        encoded, decoded = _roundtrip(partial)
+        assert isinstance(encoded, list), partial
+        assert len(encoded) == len(partial)
+        assert decoded == partial, partial
+        assert [type(v) for v in decoded] == [type(v) for v in partial]
+    assert _roundtrip([Row(1, _NO_VALUE, 3, 4)])[1][0].v is _NO_VALUE
 
 
 # ---------------------------------------------------------------------------

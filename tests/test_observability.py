@@ -19,12 +19,13 @@ import time
 
 import pytest
 
+from repro import new
 from repro.observability import METRICS, TRACER, MetricsRegistry, Tracer
 from repro.observability.tracer import traced_rows
 from repro.query import QueryCache, QueryProvider, from_iterable
 from repro.storage import Field, Schema, StructArray
 from repro.tpch import TPCHData, aggregation_micro
-from repro.tpch.queries import q1, q3
+from repro.tpch.queries import q1, q3, relation_query
 
 ENGINES = ("linq", "compiled", "native", "hybrid")
 
@@ -576,6 +577,23 @@ class TestExplainAnalyze:
         query = q3(tpch, engine="native", provider=provider)
         assert query.explain_analyze().rows == len(query.to_list())
 
+    def test_kernels_line_says_which_path_ran(self, tpch):
+        provider = QueryProvider()
+        # two S1 keys and the re-rank of their combination: all addressed
+        dense = q1(tpch, engine="native", provider=provider).explain_analyze()
+        assert dense.kernels == "dense=3 sorted=0"
+        assert "\nkernels: dense=3 sorted=0\n" in dense.render()
+        # a float key cannot be addressed; the reason is on the line
+        lineitem = relation_query(tpch, "lineitem", "native", provider)
+        by_float = lineitem.group_by(
+            lambda l: l.l_discount, lambda g: new(d=g.key, n=g.count())
+        ).explain_analyze()
+        assert by_float.kernels == "dense=0 sorted=1 (dtype=1)"
+        # engines that never call a vectorized kernel have no such line
+        compiled = q1(tpch, engine="compiled", provider=provider).explain_analyze()
+        assert compiled.kernels == ""
+        assert "kernels:" not in compiled.render()
+
 
 # ---------------------------------------------------------------------------
 # the trace switch and its cost
@@ -655,5 +673,45 @@ class TestTraceSwitch:
         overhead = per_span * spans_per_query
         assert overhead < 0.02 * query_time, (
             f"tracing overhead {overhead * 1e6:.2f}us exceeds 2% of "
+            f"query time {query_time * 1e3:.3f}ms"
+        )
+
+    def test_kernel_counters_stay_inside_the_same_budget(self, tpch):
+        # The kernels' dense/sorted counters are always on.  Same analytic
+        # bound as above: (counter updates per query) x (cost of one) must
+        # be <2% of the fig07 query on the engine that runs the kernels.
+        provider = QueryProvider()
+        query = aggregation_micro(tpch, "native", 0.6, provider).in_parallel(1)
+        query.to_list()
+
+        def updates():
+            return sum(
+                value
+                for name, value in METRICS.snapshot().items()
+                if name.startswith("runtime.kernels.")
+            )
+
+        before = updates()
+        query.to_list()
+        updates_per_query = updates() - before
+        assert updates_per_query >= 3  # two key columns + their combination
+
+        registry = MetricsRegistry()  # same code, not the shared counts
+        reps = 50_000
+        start = time.perf_counter()
+        for _ in range(reps):
+            registry.counter("runtime.kernels.dense").add()
+        per_update = (time.perf_counter() - start) / reps
+
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            query.to_list()
+            times.append(time.perf_counter() - start)
+        query_time = sorted(times)[2]
+
+        overhead = per_update * updates_per_query
+        assert overhead < 0.02 * query_time, (
+            f"kernel counters cost {overhead * 1e6:.2f}us, over 2% of "
             f"query time {query_time * 1e3:.3f}ms"
         )
