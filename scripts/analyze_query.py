@@ -33,9 +33,6 @@ sys.path.insert(
 from repro import new  # noqa: E402
 from repro.codegen.verifier import check_facts  # noqa: E402
 from repro.errors import GeneratedCodeViolation  # noqa: E402
-from repro.expressions.canonical import canonicalize  # noqa: E402
-from repro.plans.optimizer import optimize  # noqa: E402
-from repro.plans.translate import translate  # noqa: E402
 from repro.query import (  # noqa: E402
     QueryProvider,
     from_iterable,
@@ -125,20 +122,10 @@ CORPUS = (
 _GUARD_MARKERS = ("_guard_truediv", "_guard_floordiv", "_guard_mod", "_nz(")
 
 
-def _derive(provider, query, engine):
-    """(facts, ir) for one query, via the provider's own pipeline."""
-    canonical = canonicalize(query.expr)
-    plan = optimize(
-        translate(canonical.tree, provider.translate_options),
-        provider.optimize_options,
-        statistics=provider._statistics,
-        param_values=canonical.bindings,
-    )
-    ir = provider._ir_for(canonical, query.sources, plan, engine)
-    facts = provider._facts_for(
-        canonical, query.sources, plan=plan, engine=engine
-    )
-    return facts, ir, canonical
+def _derive(provider, query):
+    """(facts, ir, bindings) for one query, via the provider's own record."""
+    shape = provider.shape(query.expr, query.sources)
+    return shape.facts(), shape.ir(), shape.bindings
 
 
 def _guard_count(provider, query, engine):
@@ -172,7 +159,7 @@ def report(engine: str) -> int:
     provider = QueryProvider()
     for name, build, _ in CORPUS:
         query = build(provider, engine)
-        facts, _, _ = _derive(provider, query, engine)
+        facts, _, _ = _derive(provider, query)
         print(f"{name} × {engine}")
         for line in facts.render_lines(elide=True):
             print(f"  {line}")
@@ -191,15 +178,12 @@ def selftest(engine: str) -> int:
             for name, build, expect in CORPUS:
                 label = f"{name} × {engine} (elision={setting})"
                 query = build(provider, engine)
-                facts, ir, canonical = _derive(provider, query, engine)
+                facts, ir, bindings = _derive(provider, query)
                 try:
                     # fail-closed cross-check: the verifier re-derives the
                     # facts independently and rejects any disagreement
                     check_facts(
-                        ir,
-                        canonical.bindings,
-                        provider._statistics,
-                        facts=facts,
+                        ir, bindings, provider.statistics, facts=facts
                     )
                 except GeneratedCodeViolation as exc:
                     failures.append(f"{label}: verifier disagrees: {exc}")

@@ -10,8 +10,9 @@ per lambda:
   closure cells, or a captured mutable container (list/dict/set) combined
   with a mutating method name;
 * **I/O** — references to ``print``/``open``/file-object methods;
-* **nondeterminism** — references to ``random``/``time``/``uuid``/``id``
-  style names whose value varies across calls.
+* **nondeterminism** — references to ``random``/``time``/``uuid`` style
+  names whose value varies across calls, and to the builtin ``id`` (a
+  *field* named ``id`` is an attribute access and does not count).
 
 The verdict is advisory metadata about *intent*: tracing bakes each
 lambda's behaviour into a fixed expression tree, so the tree itself is
@@ -130,9 +131,12 @@ def analyze_callable(fn: Any) -> EffectReport:
 
     global_writes = []
     closure_writes = []
+    global_loads = set()
     for instruction in dis.get_instructions(code):
         if instruction.opname in ("STORE_GLOBAL", "DELETE_GLOBAL"):
             global_writes.append(str(instruction.argval))
+        elif instruction.opname in ("LOAD_GLOBAL", "LOAD_NAME"):
+            global_loads.add(instruction.argval)
         elif (
             instruction.opname == "STORE_DEREF"
             and instruction.argval in code.co_freevars
@@ -167,7 +171,13 @@ def analyze_callable(fn: Any) -> EffectReport:
         io = True
         reasons.append(f"performs I/O via {io_hits[0]!r}")
 
-    nondet_hits = sorted(names & _NONDET_NAMES)
+    # ``id`` is also an everyday field name: only the builtin — a global
+    # load, never an attribute access like ``r.id`` — varies across runs
+    nondet_hits = sorted(
+        name
+        for name in names & _NONDET_NAMES
+        if name != "id" or name in global_loads
+    )
     if nondet_hits:
         nondeterministic = True
         reasons.append(

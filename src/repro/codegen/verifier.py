@@ -679,10 +679,6 @@ class _ScopeChecker:
 
 def _ir_selftest() -> int:
     """Verify the lowered IR of Q1–Q3 and catch deliberately broken IRs."""
-    from ..codegen.lower import lower_plan
-    from ..expressions.canonical import canonicalize
-    from ..plans.optimizer import optimize
-    from ..plans.translate import translate
     from ..query.provider import QueryProvider
     from ..tpch.datagen import TPCHData
     from ..tpch import queries as tpch_queries
@@ -697,18 +693,7 @@ def _ir_selftest() -> int:
         ("Q3", tpch_queries.q3),
     ):
         query = builder(data, "native", provider=provider)
-        canonical = canonicalize(query.expr)
-        plan = optimize(
-            translate(canonical.tree, provider.translate_options),
-            provider.optimize_options,
-            statistics=provider._statistics,
-            param_values=canonical.bindings,
-        )
-        ir = lower_plan(
-            plan,
-            statistics=provider._statistics,
-            param_values=canonical.bindings,
-        )
+        ir = provider.shape(query.expr, list(query.sources)).ir()
         report = verify_ir(ir)
         status = "ok" if report.ok else "FAIL"
         print(f"{label} IR invariants       {status}")

@@ -2,12 +2,11 @@
 
 A :class:`DistributedQuery` is the distributed twin of
 :class:`~repro.runtime.parallel.ParallelQuery` — in fact it *wraps* one.
-The provider runs the entire front half of the pipeline exactly once
-(canonicalize → analyze → optimize → lower → codegen → verify, the
-same ``build_parallel_query`` decomposition the thread tier uses) and
-this module adds only what crosses process boundaries: the broadcast
-artifact payload (generated source + namespace recipes per kernel) and
-the scatter/gather protocol.
+The provider's one partial-kernel builder compiles the kernels (the same
+``build_parallel_query`` decomposition the thread tier uses) and this
+module adds only what crosses process boundaries: the broadcast artifact
+payload (generated source + namespace recipes per kernel) and the
+scatter/gather protocol.
 
 Execution per query:
 
@@ -22,10 +21,10 @@ Execution per query:
    resident workers, detects losses, resubmits; partials come back in
    shard-index order.  Worker-reported kernel seconds are recorded as
    the ``dist.worker`` phase.
-3. **merge** (``dist.merge`` span) — the *same* pure merge functions
-   the thread tier uses (`merge_scalar_slots` / `merge_group_table` /
-   post-op re-application), so a distributed result is bit-identical to
-   the sequential one whenever the thread-parallel result is.
+3. **merge** (``dist.merge`` span) — the *same*
+   :meth:`~repro.runtime.parallel.ParallelQuery.fold` / ``finish`` pair
+   the thread tier uses, so a distributed result is bit-identical to the
+   sequential one whenever the thread-parallel result is.
 
 Cancellation is checkpointed coordinator-side between gather polls (the
 token holds a lock and cannot ship); a cancelled query stops consuming
@@ -40,18 +39,8 @@ from typing import Any, Callable, Dict, List
 
 from ..observability.metrics import METRICS
 from ..observability.tracer import TRACER
-from ..plans.logical import Plan
-from ..plans.validate import ParallelSplit
 from ..runtime.cancellation import cancel_check
-from ..runtime.parallel import (
-    ParallelQuery,
-    apply_post_ops,
-    build_parallel_query,
-    finalize_group_table,
-    finalize_scalar,
-    merge_group_table,
-    merge_scalar_slots,
-)
+from ..runtime.parallel import ParallelQuery
 from . import shards, wire
 from .scheduler import get_pool
 
@@ -88,8 +77,16 @@ class DistributedQuery:
         return self.parallel.source_code
 
     def execute(
-        self, sources: List[Any], params: Dict[str, Any], workers: int
+        self,
+        sources: List[Any],
+        params: Dict[str, Any],
+        workers: int,
+        morsel_rows: int = 0,
+        redecide: Any = None,
     ) -> Any:
+        """Same signature as :meth:`ParallelQuery.execute` — the provider
+        dispatches either tier through one call; shards are sized by the
+        worker grant, so the morsel knobs do not apply here."""
         pool = get_pool(workers)
         ticket = pool.acquire(workers)
         try:
@@ -121,7 +118,10 @@ class DistributedQuery:
                     remote=True,
                 )
                 with TRACER.span("dist.merge", mode=self.mode):
-                    return self._merge(encoded, params)
+                    partials = [wire.decode_value(part) for part in encoded]
+                    return self.parallel.finish(
+                        self.parallel.fold(None, partials), params
+                    )
         finally:
             ticket.release()
 
@@ -166,34 +166,14 @@ class DistributedQuery:
 
         return plans, payload_for
 
-    # -- merge --------------------------------------------------------------------
 
-    def _merge(self, encoded: List[Any], params: Dict[str, Any]) -> Any:
-        pq = self.parallel
-        partials = [wire.decode_value(part) for part in encoded]
-        if pq.mode == "scalar":
-            merged = merge_scalar_slots(pq.scalar_spec.slot_kinds, partials)
-            return finalize_scalar(pq.scalar_spec, pq.output, merged, params)
-        if pq.mode == "group":
-            table = merge_group_table(pq.group_spec, partials)
-            rows = finalize_group_table(pq.group_spec, pq.output, table, params)
-        else:
-            rows = [row for part in partials for row in part]
-        return apply_post_ops(pq.post_ops, rows, params)
-
-
-def build_distributed_query(
-    split: ParallelSplit,
-    compile_kernel: Callable[[Plan], Any],
-    key: str,
-) -> DistributedQuery:
-    """Compile the shard kernels once and package the broadcast payload.
+def build_distributed_query(parallel: ParallelQuery, key: str) -> DistributedQuery:
+    """Package already-compiled partial kernels for broadcast.
 
     Raises :class:`~repro.distributed.wire.UnshippableError` when a
     kernel namespace cannot cross processes — the provider treats that
     as "does not distribute" and falls back to the thread tier.
     """
-    parallel = build_parallel_query(split, compile_kernel)
     kernels_payload = [
         (kernel.source_code, wire.encode_namespace(kernel.fn.__globals__))
         for kernel in parallel.kernels

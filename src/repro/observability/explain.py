@@ -23,16 +23,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..codegen.lower import hybrid_placements
 from ..errors import UnsupportedQueryError
-from ..expressions.canonical import canonicalize
 from ..plans.logical import plan_to_text
-from ..plans.optimizer import optimize
-from ..plans.translate import translate
-from ..plans.validate import (
-    capability_report,
-    distributed_split,
-    parallel_split,
-    validate_plan,
-)
+from ..plans.validate import capability_report, validate_plan
 from .metrics import METRICS
 from .tracer import TRACER, SpanRecord
 
@@ -89,23 +81,10 @@ class PhaseStat:
         self.seconds += record.duration
 
 
-def _plan_for(provider: Any, expr: Any) -> Any:
-    canonical = canonicalize(expr)
-    plan = optimize(
-        translate(canonical.tree, provider.translate_options),
-        provider.optimize_options,
-        statistics=provider._statistics,
-        param_values=canonical.bindings,
-    )
-    return canonical, plan
+def _parallel_verdict(shape: Any, engine: str, parallelism: Optional[int]) -> str:
+    from ..query.provider import PARALLEL_ENGINES, resolve_parallelism
 
-
-def _parallel_verdict(
-    provider: Any, plan: Any, engine: str, parallelism: Optional[int]
-) -> str:
-    from ..query.provider import PARALLEL_ENGINES
-
-    workers = provider._resolve_parallelism(parallelism)
+    workers = resolve_parallelism(parallelism)
     if workers < 2:
         return (
             "sequential (workers=1; request workers with in_parallel(n), "
@@ -113,7 +92,7 @@ def _parallel_verdict(
         )
     if engine not in PARALLEL_ENGINES:
         return f"sequential (engine {engine!r} emits no morsel kernels)"
-    split = parallel_split(plan)
+    split = shape.split("threads")
     if split.parallel:
         return (
             f"eligible (mode={split.mode}, driver=source "
@@ -124,31 +103,25 @@ def _parallel_verdict(
 
 
 def _distributed_verdict(
-    provider: Any,
-    plan: Any,
-    engine: str,
-    sources: List[Any],
-    distributed: Optional[int],
+    shape: Any, engine: str, distributed: Optional[int]
 ) -> str:
     """The multi-process decision — empty (line omitted) when nobody
     asked for distribution, so pre-distribution reports stay byte-exact."""
-    from ..query.provider import DISTRIBUTED_ENGINES
+    from ..query.provider import PARALLEL_ENGINES, resolve_distributed
     from ..storage.struct_array import StructArray
 
-    resolve = getattr(provider, "_resolve_distributed", None)
-    if resolve is None:
-        return ""
-    workers = resolve(distributed)
+    workers = resolve_distributed(distributed)
     if workers < 2:
         return ""
-    if engine not in DISTRIBUTED_ENGINES:
+    if engine not in PARALLEL_ENGINES:
         return f"in-process (engine {engine!r} emits no broadcastable kernels)"
+    sources = shape.sources
     if not sources or not all(isinstance(s, StructArray) for s in sources):
         return (
             "in-process (sources are not all StructArrays; "
             "shards own column buffers)"
         )
-    split = distributed_split(plan)
+    split = shape.split("processes")
     if split.parallel:
         return (
             f"eligible (mode={split.mode}, driver=source "
@@ -161,11 +134,7 @@ def _distributed_verdict(
 
 
 def _pipeline_section(
-    provider: Any,
-    canonical: Any,
-    sources: List[Any],
-    plan: Any,
-    engine: str,
+    shape: Any, engine: str
 ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     """Render the pipeline schedule of the shared IR, one line per
     pipeline (id, driver, fused operators, sink breaker), plus the
@@ -174,7 +143,7 @@ def _pipeline_section(
     from ..analysis import elision_enabled
 
     try:
-        ir = provider._ir_for(canonical, sources, plan, engine)
+        ir = shape.ir()
     except UnsupportedQueryError:
         return (), ()
     placements: Dict[int, str] = (
@@ -189,13 +158,10 @@ def _pipeline_section(
         if placement is not None:
             text += f" [{placement}]"
         lines.append(text)
-    facts_lines: Tuple[str, ...] = ()
     try:
-        facts = provider._facts_for(canonical, sources, plan=plan, engine=engine)
+        facts_lines = tuple(shape.facts().render_lines(elision_enabled()))
     except UnsupportedQueryError:
-        facts = None
-    if facts is not None:
-        facts_lines = tuple(facts.render_lines(elision_enabled()))
+        facts_lines = ()
     return tuple(lines), facts_lines
 
 
@@ -243,26 +209,6 @@ class ExplainReport:
         return self.render()
 
 
-def _adaptive_verdict(
-    provider: Any, expr: Any, sources: List[Any], engine: str, adaptive: Any
-) -> str:
-    """The decision the chooser would make right now (EXPLAIN is a dry
-    run: no exploration, no observation, no profile mutation)."""
-    resolve = getattr(provider, "_adaptive_controller", None)
-    if resolve is None:
-        return ""
-    try:
-        controller = resolve(adaptive, engine)
-        if controller is None:
-            return ""
-        _, _, decision, _ = provider._adaptive_decide(
-            expr, sources, engine, controller, explore=False
-        )
-        return decision.describe()
-    except Exception:  # noqa: BLE001 - explain must never fail on adaptivity
-        return ""
-
-
 def explain_report(
     provider: Any,
     expr: Any,
@@ -280,11 +226,15 @@ def explain_report(
             supported=True,
             parallel="sequential (the interpreted baseline never parallelizes)",
         )
-    canonical, plan = _plan_for(provider, expr)
-    analysis = provider._analysis_for(canonical, sources)
-    plan_types = validate_plan(plan, analysis.source_types, params=canonical.bindings)
+    shape = provider.shape(expr, sources)
+    plan = shape.plan()
+    plan_types = validate_plan(
+        plan, shape.analysis().source_types, params=shape.bindings
+    )
     report = capability_report(plan, engine, sources, plan_types)
-    pipelines, facts = _pipeline_section(provider, canonical, sources, plan, engine)
+    pipelines, facts = _pipeline_section(shape, engine)
+    # EXPLAIN is a dry run: the decision is peeked, never explored
+    decision = provider.peek_decision(shape, engine, adaptive)
     return ExplainReport(
         engine=engine,
         plan_text=plan_to_text(plan),
@@ -292,11 +242,9 @@ def explain_report(
         capability_reasons=tuple(report.reasons),
         pipelines=pipelines,
         facts=facts,
-        parallel=_parallel_verdict(provider, plan, engine, parallelism),
-        adaptive=_adaptive_verdict(provider, expr, sources, engine, adaptive),
-        distributed=_distributed_verdict(
-            provider, plan, engine, sources, distributed
-        ),
+        parallel=_parallel_verdict(shape, engine, parallelism),
+        adaptive=decision.describe() if decision is not None else "",
+        distributed=_distributed_verdict(shape, engine, distributed),
     )
 
 
@@ -427,13 +375,8 @@ def explain_analyze(
                 params,
                 parallelism=parallelism,
                 morsel_size=morsel_size,
-                # omit when unset: providers predating these layers
-                **({} if adaptive is None else {"adaptive": adaptive}),
-                **(
-                    {}
-                    if distributed is None
-                    else {"distributed": distributed}
-                ),
+                adaptive=adaptive,
+                distributed=distributed,
             )
             rows = 0
             for _ in iterator:
@@ -459,8 +402,8 @@ def explain_analyze(
         parallel = ""
         distributed_line = ""
     else:
-        _, plan = _plan_for(provider, expr)
-        plan_text = plan_to_text(plan)
+        shape = provider.shape(expr, sources)
+        plan_text = plan_to_text(shape.plan())
         parallel = ""
         distributed_line = ""
         for record in spans:
@@ -477,11 +420,9 @@ def explain_analyze(
                     f"(mode={record.attrs.get('mode', '?')})"
                 )
         if not parallel:
-            parallel = _parallel_verdict(provider, plan, engine, parallelism)
+            parallel = _parallel_verdict(shape, engine, parallelism)
         if not distributed_line:
-            distributed_line = _distributed_verdict(
-                provider, plan, engine, sources, distributed
-            )
+            distributed_line = _distributed_verdict(shape, engine, distributed)
 
     return ExplainAnalysis(
         engine=engine,

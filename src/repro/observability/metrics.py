@@ -7,8 +7,8 @@ instrumented layers register:
 
 * ``query_cache.*`` — hits, misses, evictions, analysis hits/misses
   (:class:`~repro.query.cache.QueryCache`);
-* ``provider.compile_lock.*`` — per-key compile-lock contention and the
-  size-bounding prunes (:class:`~repro.query.provider.QueryProvider`);
+* ``provider.compile_lock.contended`` — waits on a per-shape compile
+  lock (:class:`~repro.query.shape.ShapeRecord`);
 * ``compile.<engine>.*`` — codegen and compile wall seconds per engine
   (provider + :func:`~repro.codegen.compiler.compile_source`);
 * ``recycler.*`` — result-buffer reuse

@@ -1,4 +1,4 @@
-"""The query cache (paper §3, Figure 3).
+"""The query cache (paper §3, Figure 3): one LRU of per-shape records.
 
 "After replacing all constant parts, we consult a cache that contains
 compiled code of previous queries ... Queries in the cache are identified
@@ -7,16 +7,23 @@ if the expression trees are essentially the same, but one or more
 parameters in the query differ."
 
 The canonicalizer guarantees the second property (constants are lifted to
-parameters before keying), so this module only needs to be an LRU map with
-hit/miss statistics — the statistics feed ``bench_compile_cost``.
+parameters before keying), so a cache entry is a
+:class:`~repro.query.shape.ShapeRecord`: everything the provider has
+derived from one query shape — analysis, optimized plan, pipeline IR,
+tier-split verdicts, dataflow facts, and the compiled artifacts of every
+engine and tier that ran it.  Evicting a record is the only eviction
+there is; nothing else holds per-shape state.
 
-The cache is shared mutable state between every thread that executes
-queries (the provider, and under parallel execution the worker pool's
-clients too), so all operations — including the statistics updates, which
-would otherwise lose increments under read-modify-write races — hold one
-internal re-entrant lock.  Compilation itself is *not* serialized here;
-the provider holds a per-key lock around its find-or-compile sequence so
-two threads never duplicate the same compilation.
+The budget counts *compiled artifacts* (sequential + partial-kernel,
+summed over records), which is what dominates memory: the oldest records
+go until at most ``max_entries`` artifacts, in at most ``max_entries``
+records, remain.
+
+The cache is shared between every thread that executes queries, so the
+LRU, the artifact tables and the statistics all change under one internal
+lock.  Compilation itself is *not* serialized here: each record carries
+its own lock, so two threads never duplicate one shape's compilation
+while distinct shapes compile concurrently.
 """
 
 from __future__ import annotations
@@ -24,20 +31,22 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional, Tuple
 
-from ..codegen.compiler import CompiledQuery
 from ..observability.metrics import METRICS, MetricsRegistry
+from .shape import ShapeRecord
 
 __all__ = ["QueryCache", "CacheStats"]
 
 
 @dataclass
 class CacheStats:
+    #: sequential-artifact lookups, one per execution / ``compile_info``
     hits: int = 0
     misses: int = 0
+    #: compiled artifacts dropped to stay within the budget
     evictions: int = 0
-    #: static-analysis results cached alongside compiled artifacts
+    #: static-analysis results found on / derived for a record
     analysis_hits: int = 0
     analysis_misses: int = 0
 
@@ -48,7 +57,7 @@ class CacheStats:
 
 
 class QueryCache:
-    """LRU cache of :class:`CompiledQuery` keyed by canonical query shape.
+    """Bounded LRU of :class:`ShapeRecord` keyed by canonical query shape.
 
     Thread-safe: every operation holds the cache's internal lock.
     """
@@ -61,15 +70,9 @@ class QueryCache:
         if max_entries <= 0:
             raise ValueError("cache size must be positive")
         self._max_entries = max_entries
-        self._lock = threading.RLock()
-        self._entries: "OrderedDict[Any, CompiledQuery]" = OrderedDict()
-        # static-analysis results (engine-independent, so keyed separately
-        # from compiled artifacts but evicted under the same budget)
-        self._analyses: "OrderedDict[Any, Any]" = OrderedDict()
-        #: called with each evicted *compiled-entry* key, outside the
-        #: cache lock — the provider uses this to keep its own per-query
-        #: side tables (pipeline IR, analysis associations) coherent
-        self._eviction_listeners: List[Callable[[Any], None]] = []
+        self._lock = threading.Lock()
+        self._records: "OrderedDict[Any, ShapeRecord]" = OrderedDict()
+        self._artifacts = 0
         self.stats = CacheStats()
         # the same accounting, mirrored into the observability registry
         # (process-global by default; tests inject private registries)
@@ -82,90 +85,105 @@ class QueryCache:
             "query_cache.analysis_misses"
         )
 
-    def find(self, key: Any) -> Optional[CompiledQuery]:
-        """Look up a compiled query, refreshing its LRU position."""
+    def record(self, key: Any) -> ShapeRecord:
+        """The record for *key* (created empty on first sight), refreshed
+        to most-recently-used."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            record = self._records.get(key)
+            if record is None:
+                record = self._records[key] = ShapeRecord(key)
+                self._trim()
+            else:
+                self._records.move_to_end(key)
+            return record
+
+    def find(self, record: ShapeRecord, artifact_key: tuple) -> Optional[Any]:
+        """Look up one artifact of *record*, refreshing its LRU position.
+        Lookups do not count; see :meth:`count`."""
+        with self._lock:
+            artifact = record.artifacts.get(artifact_key)
+            if artifact is not None:
+                record.artifacts.move_to_end(artifact_key)
+            return artifact
+
+    def admit(self, record: ShapeRecord, artifact_key: tuple, artifact: Any) -> None:
+        """Store a freshly compiled artifact and evict down to budget."""
+        with self._lock:
+            current = self._records.get(record.key)
+            if current is not record:
+                # evicted while it compiled: reinstate it, superseding
+                # any successor created for the same shape meanwhile
+                if current is not None:
+                    self._drop(current)
+                self._records[record.key] = record
+            self._records.move_to_end(record.key)
+            if artifact_key not in record.artifacts:
+                self._artifacts += 1
+            record.artifacts[artifact_key] = artifact
+            record.artifacts.move_to_end(artifact_key)
+            self._trim()
+
+    def count(self, hit: bool) -> None:
+        """Account one sequential-artifact lookup as a hit or a miss."""
+        with self._lock:
+            if hit:
+                self.stats.hits += 1
+                self._m_hits.add()
+            else:
                 self.stats.misses += 1
                 self._m_misses.add()
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            self._m_hits.add()
-            return entry
 
-    def add_eviction_listener(self, listener: Callable[[Any], None]) -> None:
-        """Subscribe to compiled-entry evictions (called with the key).
-
-        Listeners run after the cache lock is released, so they may take
-        other locks (the provider's) without ordering hazards.
-        """
+    def count_analysis(self, hit: bool) -> None:
         with self._lock:
-            self._eviction_listeners.append(listener)
-
-    def store(self, key: Any, compiled: CompiledQuery) -> None:
-        evicted: List[Any] = []
-        with self._lock:
-            self._entries[key] = compiled
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_entries:
-                victim, _ = self._entries.popitem(last=False)
-                evicted.append(victim)
-                self.stats.evictions += 1
-                self._m_evictions.add()
-            listeners = list(self._eviction_listeners) if evicted else ()
-        for victim in evicted:
-            for listener in listeners:
-                listener(victim)
-
-    def find_analysis(self, key: Any) -> Optional[Any]:
-        """Look up a cached static-analysis result (QueryAnalysis)."""
-        with self._lock:
-            entry = self._analyses.get(key)
-            if entry is None:
+            if hit:
+                self.stats.analysis_hits += 1
+                self._m_analysis_hits.add()
+            else:
                 self.stats.analysis_misses += 1
                 self._m_analysis_misses.add()
-                return None
-            self._analyses.move_to_end(key)
-            self.stats.analysis_hits += 1
-            self._m_analysis_hits.add()
-            return entry
 
-    def store_analysis(self, key: Any, analysis: Any) -> None:
+    def _drop(self, record: ShapeRecord) -> None:
+        """Evict *record* whole.  Its artifact table is emptied in place,
+        so a thread still holding the record recompiles, not resurrects."""
+        self._records.pop(record.key, None)
+        self._evicted(len(record.artifacts))
+        record.artifacts.clear()
+
+    def _evicted(self, artifacts: int) -> None:
+        self._artifacts -= artifacts
+        self.stats.evictions += artifacts
+        self._m_evictions.add(artifacts)
+
+    def _trim(self) -> None:
+        limit = self._max_entries
+        while self._artifacts > limit or len(self._records) > limit:
+            oldest = next(iter(self._records.values()))
+            if len(self._records) > 1:
+                self._drop(oldest)
+            else:
+                # one shape alone overflows the budget (many engines or
+                # facts tokens): shed its least recently used artifacts
+                oldest.artifacts.popitem(last=False)
+                self._evicted(1)
+
+    def resident(self) -> List[Tuple[Tuple[str, str], ...]]:
+        """Per record, oldest first: the ``(engine, kind)`` of every
+        artifact it holds (kind ``sequential | threads | processes``)."""
         with self._lock:
-            self._analyses[key] = analysis
-            self._analyses.move_to_end(key)
-            while len(self._analyses) > self._max_entries:
-                self._analyses.popitem(last=False)
-                self.stats.evictions += 1
-                self._m_evictions.add()
-
-    def discard_analysis(self, key: Any) -> bool:
-        """Drop one analysis entry if present (eviction-coherence hook).
-
-        Returns True when something was removed; a removal counts as an
-        eviction (it is one — initiated by the provider rather than the
-        LRU budget).
-        """
-        with self._lock:
-            if key not in self._analyses:
-                return False
-            del self._analyses[key]
-            self.stats.evictions += 1
-            self._m_evictions.add()
-            return True
+            return [
+                tuple(key[:2] for key in record.artifacts)
+                for record in self._records.values()
+            ]
 
     def __len__(self) -> int:
+        """Resident compiled artifacts — the quantity the budget bounds."""
         with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: Any) -> bool:
-        with self._lock:
-            return key in self._entries
+            return self._artifacts
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
-            self._analyses.clear()
+            for record in self._records.values():
+                record.artifacts.clear()
+            self._records.clear()
+            self._artifacts = 0
             self.stats = CacheStats()

@@ -210,18 +210,6 @@ class Query:
         """
         return self._replace(distributed=workers)
 
-    def _adaptive_kwargs(self) -> Dict[str, Any]:
-        """Forward ``adaptive``/``distributed`` only when set: custom
-        providers that predate those layers keep working, and the
-        default provider still honours ``REPRO_ADAPTIVE`` /
-        ``REPRO_DISTRIBUTED`` on its own."""
-        kwargs: Dict[str, Any] = {}
-        if self.adaptive is not None:
-            kwargs["adaptive"] = self.adaptive
-        if self.distributed_workers is not None:
-            kwargs["distributed"] = self.distributed_workers
-        return kwargs
-
     def with_params(self, **params: Any) -> "Query":
         """Bind values for :func:`~repro.expressions.builder.P` parameters."""
         return self._replace(params={**self.params, **params})
@@ -419,7 +407,8 @@ class Query:
                 self.params,
                 parallelism=self.parallelism,
                 morsel_size=self.morsel_size,
-                **self._adaptive_kwargs(),
+                adaptive=self.adaptive,
+                distributed=self.distributed_workers,
             )
         from ..observability.tracer import TRACER
 
@@ -436,7 +425,8 @@ class Query:
                         self.params,
                         parallelism=self.parallelism,
                         morsel_size=self.morsel_size,
-                        **self._adaptive_kwargs(),
+                        adaptive=self.adaptive,
+                        distributed=self.distributed_workers,
                     )
                 )
             )
@@ -496,7 +486,8 @@ class Query:
                 self.params,
                 parallelism=self.parallelism,
                 morsel_size=self.morsel_size,
-                **self._adaptive_kwargs(),
+                adaptive=self.adaptive,
+                distributed=self.distributed_workers,
             )
         from ..observability.tracer import TRACER
 
@@ -508,7 +499,8 @@ class Query:
                 self.params,
                 parallelism=self.parallelism,
                 morsel_size=self.morsel_size,
-                **self._adaptive_kwargs(),
+                adaptive=self.adaptive,
+                distributed=self.distributed_workers,
             )
 
     def count(self, predicate: Optional[Callable] = None) -> int:

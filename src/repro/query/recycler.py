@@ -46,17 +46,12 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis import expression_effects
-from ..errors import ExecutionError
-from ..expressions.canonical import CanonicalQuery, canonicalize
 from ..expressions.nodes import Expr
 from ..observability.metrics import METRICS
 from ..observability.tracer import TRACER
-from ..plans.optimizer import optimize
-from ..plans.translate import translate
-from ..plans.validate import parallel_split
 from ..runtime.cancellation import CANCEL_PARAM
 from ..runtime.parallel import (
     DEFAULT_MORSEL_ROWS,
@@ -65,7 +60,8 @@ from ..runtime.parallel import (
     ParallelQuery,
 )
 from ..storage.struct_array import StructArray
-from .provider import PARALLEL_ENGINES, QueryProvider, pin_sources
+from .provider import QueryProvider, pin_sources, resolve_parallelism
+from .shape import Shape, _freeze_binding_value
 
 __all__ = ["RecyclingProvider", "RecyclerStats", "delta_recycling_enabled"]
 
@@ -125,16 +121,6 @@ class _Entry:
     delta_reason: str = ""
 
 
-def _freeze_value(value: Any) -> Any:
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze_value(v) for v in value)
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze_value(v)) for k, v in value.items()))
-    if isinstance(value, set):
-        return frozenset(value)
-    return value
-
-
 def _versioned(source: Any) -> bool:
     return isinstance(source, StructArray)
 
@@ -177,108 +163,87 @@ class RecyclingProvider(QueryProvider):
     # -- key construction --------------------------------------------------------
 
     def _result_key(
-        self, expr: Expr, sources: List[Any], engine: str, params: Dict[str, Any]
-    ) -> Optional[Any]:
-        key, _ = self._result_key_canonical(expr, sources, engine, params)
-        return key
+        self,
+        expr: Expr,
+        sources: List[Any],
+        engine: str,
+        params: Dict[str, Any],
+        pinned: Optional[List[Any]] = None,
+    ) -> Tuple[Optional[Any], Optional[Shape]]:
+        """(result key, shape) — the key is None when this execution must
+        not recycle; the shape is None only when nothing was canonicalized.
 
-    def _result_key_canonical(
-        self, expr: Expr, sources: List[Any], engine: str, params: Dict[str, Any]
-    ) -> Tuple[Optional[Any], Optional[CanonicalQuery]]:
+        The key names the *live* sources (their identity outlasts any one
+        execution); the shape is bound to the *pinned* snapshots.
+        """
         effects = expression_effects(expr)
         if effects.nondeterministic:
             # a lambda that reads the clock/RNG can return a different
             # value per run; replaying a cached result would be a lie
             METRICS.counter("recycler.nondeterministic_skips").add()
             return None, None
-        canonical = canonicalize(expr)
+        shape = self.shape(expr, sources if pinned is None else pinned)
         merged = {
             k: v
-            for k, v in {**canonical.bindings, **params}.items()
+            for k, v in {**shape.bindings, **params}.items()
             if k not in _EPHEMERAL_PARAMS
         }
         try:
             frozen_params = tuple(
-                sorted((k, _freeze_value(v)) for k, v in merged.items())
+                sorted((k, _freeze_binding_value(v)) for k, v in merged.items())
             )
-        except TypeError:
-            return None, None  # unhashable parameter: not recyclable
-        statics = tuple(_source_static(s) for s in sources)
-        key = (engine, canonical.key, frozen_params, statics)
-        try:
+            statics = tuple(_source_static(s) for s in sources)
+            key = (engine, shape.canonical.key, frozen_params, statics)
             hash(key)
         except TypeError:
-            return None, None  # unhashable parameter value: not recyclable
-        return key, canonical
+            return None, shape  # unhashable parameter: not recyclable
+        return key, shape
 
-    # -- provider surface ------------------------------------------------------------
+    # -- the one execution body, recycled ------------------------------------------
 
-    def execute(
+    def _run(
         self,
         expr: Expr,
         sources: List[Any],
         engine: str,
         params: Dict[str, Any],
-        parallelism: Optional[int] = None,
-        morsel_size: Optional[int] = None,
-        adaptive: Any = None,
-    ) -> Iterator[Any]:
-        # parallelism is deliberately absent from the result key: parallel
-        # results are bit-identical to sequential ones, so recycling
-        # across worker counts is sound
-        key, canonical = self._result_key_canonical(expr, sources, engine, params)
-        if key is None:
-            return super().execute(
-                expr, sources, engine, params, parallelism, morsel_size,
-                **({} if adaptive is None else {"adaptive": adaptive}),
-            )
-        rows = self._recycled(
-            key, canonical, expr, sources, engine, params,
-            parallelism, morsel_size, adaptive, scalar=False,
-        )
-        return iter(rows)
-
-    def execute_scalar(
-        self,
-        expr: Expr,
-        sources: List[Any],
-        engine: str,
-        params: Dict[str, Any],
-        parallelism: Optional[int] = None,
-        morsel_size: Optional[int] = None,
-        adaptive: Any = None,
-    ) -> Any:
-        key, canonical = self._result_key_canonical(expr, sources, engine, params)
-        if key is None:
-            return super().execute_scalar(
-                expr, sources, engine, params, parallelism, morsel_size,
-                **({} if adaptive is None else {"adaptive": adaptive}),
-            )
-        rows = self._recycled(
-            key, canonical, expr, sources, engine, params,
-            parallelism, morsel_size, adaptive, scalar=True,
-        )
-        return rows[0]
-
-    # -- the recycled execution body --------------------------------------------
-
-    def _recycled(
-        self,
-        key: Any,
-        canonical: CanonicalQuery,
-        expr: Expr,
-        sources: List[Any],
-        engine: str,
-        params: Dict[str, Any],
-        parallelism: Optional[int],
-        morsel_size: Optional[int],
-        adaptive: Any,
         scalar: bool,
-    ) -> List[Any]:
+        parallelism: Optional[int] = None,
+        morsel_size: Optional[int] = None,
+        adaptive: Any = None,
+        distributed: Optional[int] = None,
+        shape: Optional[Shape] = None,
+    ) -> Any:
         # pin every live versioned array *before* reading watermarks: the
         # watermarks stored on the entry then describe exactly the prefix
         # the kernels saw, even with writers appending concurrently
         pinned = pin_sources(sources)
+        key, shape = self._result_key(expr, sources, engine, params, pinned)
+        # the tier knobs are deliberately absent from the result key:
+        # every tier's result is bit-identical to the sequential one, so
+        # recycling across worker counts is sound
+        tier_knobs = (parallelism, morsel_size, adaptive, distributed)
+        if key is None:
+            return super()._run(
+                expr, pinned, engine, params, scalar, *tier_knobs, shape
+            )
+        rows = self._recycled(
+            key, shape, expr, pinned, engine, params, scalar, tier_knobs
+        )
+        return rows[0] if scalar else rows
+
+    def _recycled(
+        self,
+        key: Any,
+        shape: Shape,
+        expr: Expr,
+        pinned: List[Any],
+        engine: str,
+        params: Dict[str, Any],
+        scalar: bool,
+        tier_knobs: tuple,
+    ) -> List[Any]:
+        parallelism, morsel_size = tier_knobs[:2]
         marks = tuple(_source_mark(s) for s in pinned)
         entry = self._results.get(key)
         if entry is not None and entry.marks == marks:
@@ -288,100 +253,95 @@ class RecyclingProvider(QueryProvider):
             with TRACER.span("query.recycle", mode="hit", reason=""):
                 pass
             return entry.rows
-        if entry is not None:
-            refreshed = self._refresh(
-                key, entry, pinned, marks, params,
-                parallelism, morsel_size, scalar,
-            )
-            if refreshed is not None:
-                return refreshed
-            # fall through: full re-execution replaces the stale entry
-            return self._materialize(
-                key, canonical, expr, pinned, engine, params,
-                parallelism, morsel_size, adaptive, scalar, marks,
-                mode="full",
-                reason=self._fallback_reason(entry, pinned, marks),
-            )
-        self.recycler_stats.misses += 1
-        METRICS.counter("recycler.misses").add()
-        return self._materialize(
-            key, canonical, expr, pinned, engine, params,
-            parallelism, morsel_size, adaptive, scalar, marks,
-            mode="miss", reason="",
-        )
+        mode, reason = "miss", ""
+        if entry is None:
+            self.recycler_stats.misses += 1
+            METRICS.counter("recycler.misses").add()
+        else:
+            window = self._growth_window(entry, marks)
+            if window is not None:
+                with TRACER.span(
+                    "query.recycle",
+                    mode="delta",
+                    reason="",
+                    window_start=window[0],
+                    window_stop=window[1],
+                ):
+                    entry.rows, entry.delta = self._fold_window(
+                        entry.delta, pinned, params, parallelism, morsel_size, *window
+                    )
+                entry.marks = marks
+                self._results.move_to_end(key)
+                self.recycler_stats.delta_hits += 1
+                METRICS.counter("recycler.delta_hits").add()
+                return entry.rows
+            # full re-execution replaces the stale entry
+            mode, reason = "full", self._fallback_reason(entry)
+            self.recycler_stats.full_reruns += 1
+            METRICS.counter("recycler.full_reruns").add()
+        artifact, delta_reason = self._delta_artifact(shape, engine, scalar)
+        with TRACER.span("query.recycle", mode=mode, reason=reason):
+            if artifact is None:
+                rows = super()._run(
+                    expr, pinned, engine, params, scalar, *tier_knobs, shape
+                )
+                rows = [rows] if scalar else list(rows)
+                entry = _Entry(rows, marks, None, delta_reason)
+            else:
+                # capture the partial state too, so the *next* growth
+                # refreshes incrementally
+                rows, delta = self._fold_window(
+                    _DeltaState(artifact, shape.bindings, None),
+                    pinned,
+                    params,
+                    parallelism,
+                    morsel_size,
+                )
+                entry = _Entry(rows, marks, delta)
+        self._store(key, entry)
+        return rows
 
-    def _refresh(
+    def _fold_window(
         self,
-        key: Any,
-        entry: _Entry,
+        delta: _DeltaState,
         pinned: List[Any],
-        marks: Tuple[Any, ...],
         params: Dict[str, Any],
         parallelism: Optional[int],
         morsel_size: Optional[int],
-        scalar: bool,
-    ) -> Optional[List[Any]]:
-        """Refresh a stale entry from its partial state, or None if only a
-        full re-execution is sound."""
-        delta = entry.delta
-        if delta is None or not delta_recycling_enabled():
-            return None
-        window = self._growth_window(entry, delta.artifact, pinned, marks)
-        if window is None:
-            return None
-        old_len, new_len = window
+        start: int = 0,
+        stop: Optional[int] = None,
+    ) -> Tuple[List[Any], _DeltaState]:
+        """Run the partial kernels over ``[start, stop)`` of the driver
+        (default: all of it) and fold the partials into *delta*'s state:
+        a cold delta-mergeable execution and a delta refresh are the same
+        code, differing only in window and prior state."""
         artifact = delta.artifact
-        workers = self._resolve_parallelism(parallelism)
+        workers = resolve_parallelism(parallelism)
         morsel = morsel_size or DEFAULT_MORSEL_ROWS
         merged = {**delta.bindings, **params}
-        with TRACER.span(
-            "query.recycle", mode="delta", reason="",
-            window_start=old_len, window_stop=new_len,
-        ):
-            with TRACER.span("query.execute", parallel=True):
-                partials = artifact.run_window(
-                    pinned, merged, workers, morsel, start=old_len, stop=new_len
-                )
-                with TRACER.span("parallel.merge", mode=artifact.mode):
-                    if artifact.mode == "scalar":
-                        state = artifact.merge_scalar_slots(
-                            [delta.state] + partials
-                        )
-                        rows = [artifact.finalize_scalar(state, merged)]
-                    elif artifact.mode == "group":
-                        state = artifact.merge_group_table(
-                            [delta.state] + partials
-                        )
-                        rows = artifact.apply_post_ops(
-                            artifact.finalize_group_table(state, merged), merged
-                        )
-                    else:
-                        state = delta.state + [
-                            row for part in partials for row in part
-                        ]
-                        rows = artifact.apply_post_ops(list(state), merged)
-        entry.rows = rows
-        entry.marks = marks
-        entry.delta = _DeltaState(artifact, delta.bindings, state)
-        self._results.move_to_end(key)
-        self.recycler_stats.delta_hits += 1
-        METRICS.counter("recycler.delta_hits").add()
-        return rows
+        with TRACER.span("query.execute", parallel=True):
+            partials = artifact.run_window(
+                pinned, merged, workers, morsel, start=start, stop=stop
+            )
+            with TRACER.span("parallel.merge", mode=artifact.mode):
+                state = artifact.fold(delta.state, partials)
+                rows = artifact.finish(state, merged)
+        if artifact.scalar:
+            rows = [rows]
+        return rows, _DeltaState(artifact, delta.bindings, state)
 
     def _growth_window(
-        self,
-        entry: _Entry,
-        artifact: ParallelQuery,
-        pinned: List[Any],
-        marks: Tuple[Any, ...],
+        self, entry: _Entry, marks: Tuple[Any, ...]
     ) -> Optional[Tuple[int, int]]:
-        """``[old_watermark, new_watermark)`` of the driver, or None when
-        the change was not growth-only."""
-        driver = artifact.morsel_ordinal
+        """``[old_watermark, new_watermark)`` of the driver when the entry
+        can refresh incrementally; None when only a full re-execution is
+        sound (no partial state, delta recycling off, or the change was
+        not growth-only)."""
+        if entry.delta is None or not delta_recycling_enabled():
+            return None
+        driver = entry.delta.artifact.morsel_ordinal
         for i, (old, now) in enumerate(zip(entry.marks, marks)):
-            if i == driver:
-                continue
-            if old != now:
+            if i != driver and old != now:
                 return None  # a non-driver source changed: not a pure delta
         old, now = entry.marks[driver], marks[driver]
         if old is None or now is None:
@@ -392,93 +352,18 @@ class RecyclingProvider(QueryProvider):
             return None  # replaced/rewound, not grown
         return old_len, new_len
 
-    def _fallback_reason(
-        self, entry: _Entry, pinned: List[Any], marks: Tuple[Any, ...]
-    ) -> str:
+    def _fallback_reason(self, entry: _Entry) -> str:
         if entry.delta is None:
             return entry.delta_reason or "plan is not delta-mergeable"
         if not delta_recycling_enabled():
             return "delta recycling disabled (REPRO_DELTA_RECYCLE=0)"
-        if self._growth_window(entry, entry.delta.artifact, pinned, marks) is None:
-            return "source change was not growth-only"
-        return "delta path unavailable"
-
-    def _materialize(
-        self,
-        key: Any,
-        canonical: CanonicalQuery,
-        expr: Expr,
-        pinned: List[Any],
-        engine: str,
-        params: Dict[str, Any],
-        parallelism: Optional[int],
-        morsel_size: Optional[int],
-        adaptive: Any,
-        scalar: bool,
-        marks: Tuple[Any, ...],
-        mode: str,
-        reason: str,
-    ) -> List[Any]:
-        """Cold execution that also captures partial state when the plan
-        is delta-mergeable, so the *next* growth refreshes incrementally."""
-        if mode == "full":
-            self.recycler_stats.full_reruns += 1
-            METRICS.counter("recycler.full_reruns").add()
-        artifact, bindings, delta_reason = self._delta_artifact(
-            expr, pinned, engine, scalar, canonical
-        )
-        with TRACER.span("query.recycle", mode=mode, reason=reason):
-            if artifact is None:
-                if scalar:
-                    rows = [
-                        super().execute_scalar(
-                            expr, pinned, engine, params,
-                            parallelism, morsel_size,
-                            **({} if adaptive is None else {"adaptive": adaptive}),
-                        )
-                    ]
-                else:
-                    rows = list(
-                        super().execute(
-                            expr, pinned, engine, params,
-                            parallelism, morsel_size,
-                            **({} if adaptive is None else {"adaptive": adaptive}),
-                        )
-                    )
-                entry = _Entry(rows, marks, None, delta_reason)
-            else:
-                workers = self._resolve_parallelism(parallelism)
-                morsel = morsel_size or DEFAULT_MORSEL_ROWS
-                merged = {**bindings, **params}
-                with TRACER.span("query.execute", parallel=True):
-                    partials = artifact.run_window(pinned, merged, workers, morsel)
-                    with TRACER.span("parallel.merge", mode=artifact.mode):
-                        if artifact.mode == "scalar":
-                            state = artifact.merge_scalar_slots(partials)
-                            rows = [artifact.finalize_scalar(state, merged)]
-                        elif artifact.mode == "group":
-                            state = artifact.merge_group_table(partials)
-                            rows = artifact.apply_post_ops(
-                                artifact.finalize_group_table(state, merged),
-                                merged,
-                            )
-                        else:
-                            state = [row for part in partials for row in part]
-                            rows = artifact.apply_post_ops(list(state), merged)
-                entry = _Entry(rows, marks, _DeltaState(artifact, bindings, state))
-        self._store(key, entry)
-        return rows
+        return "source change was not growth-only"
 
     def _delta_artifact(
-        self,
-        expr: Expr,
-        pinned: List[Any],
-        engine: str,
-        scalar: bool,
-        canonical: CanonicalQuery,
-    ) -> Tuple[Optional[ParallelQuery], Dict[str, Any], str]:
+        self, shape: Shape, engine: str, scalar: bool
+    ) -> Tuple[Optional[ParallelQuery], str]:
         """The morsel artifact powering incremental refresh, or (None,
-        bindings, reason) when this query must recycle wholesale.
+        reason) when this query must recycle wholesale.
 
         The sequential artifact always compiles first — exact error
         parity with the plain provider (a query the engine rejects is
@@ -486,53 +371,23 @@ class RecyclingProvider(QueryProvider):
         """
         if engine == "linq":
             # the interpreted baseline never compiles; recycle wholesale
-            return None, canonical.bindings, "engine 'linq' emits no morsel kernels"
-        compiled, bindings = self._compiled_for(
-            expr, pinned, engine, canonical=canonical
-        )
-        if compiled.scalar != scalar:
-            # match the plain provider's misuse errors exactly
-            if scalar:
-                raise ExecutionError("not a scalar query")
-            raise ExecutionError(
-                "this query is a scalar aggregate; use the terminal method"
-            )
+            return None, "engine 'linq' emits no morsel kernels"
+        if shape.compiled(engine).scalar != scalar:
+            # the plain provider raises its misuse error on the way through
+            return None, ""
         if not delta_recycling_enabled():
-            return None, bindings, "delta recycling disabled (REPRO_DELTA_RECYCLE=0)"
-        if engine not in PARALLEL_ENGINES:
-            return (
-                None,
-                bindings,
-                f"engine {engine!r} emits no morsel kernels",
-            )
-        if not any(_versioned(s) for s in pinned):
+            return None, "delta recycling disabled (REPRO_DELTA_RECYCLE=0)"
+        if not any(_versioned(s) for s in shape.sources):
             # plain collections recycle wholesale (length-keyed); don't
             # pay morsel-kernel compilation for sources that cannot grow
             # in a version-observable way
-            return None, bindings, "no versioned StructArray sources"
-        artifact = self._parallel_for(expr, pinned, engine, 2)
+            return None, "no versioned StructArray sources"
+        artifact = shape.partial(engine, "threads")
         if artifact is None or artifact.scalar != scalar:
-            return None, bindings, self._split_reason(canonical)
-        driver = pinned[artifact.morsel_ordinal]
-        if not _versioned(driver):
-            return None, bindings, "driver source is not a versioned StructArray"
-        return artifact, bindings, ""
-
-    def _split_reason(self, canonical: CanonicalQuery) -> str:
-        """Why parallel_split refused morsel kernels (= why no delta)."""
-        try:
-            plan = optimize(
-                translate(canonical.tree, self.translate_options),
-                self.optimize_options,
-                statistics=self._statistics,
-                param_values=canonical.bindings,
-            )
-            split = parallel_split(plan)
-            if split.reasons:
-                return split.reasons[0]
-        except Exception:  # noqa: BLE001 - the reason is advisory
-            pass
-        return "plan has no morsel-mergeable split"
+            return None, shape.refusal(engine, "threads")
+        if not _versioned(shape.sources[artifact.morsel_ordinal]):
+            return None, "driver source is not a versioned StructArray"
+        return artifact, ""
 
     # -- maintenance -----------------------------------------------------------------
 

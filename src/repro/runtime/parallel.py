@@ -147,25 +147,6 @@ def morsel_bounds(
 
 
 # ---------------------------------------------------------------------------
-# Physical slot planning (shared with the backends' avg decomposition)
-# ---------------------------------------------------------------------------
-
-
-def _physical_slots(
-    specs: Sequence[AggregateSpec],
-) -> Tuple[List[Tuple[str, Optional[Lambda]]], List[Tuple[str, int, int]]]:
-    """Mergeable physical slots + per-spec extraction recipe.
-
-    ``avg`` cannot merge across morsels, so it decomposes into a ``sum``
-    slot and a shared ``count`` slot (re-divided at finalization) — the
-    same rule :class:`StreamingGroupAggregator` imposes on pages.  The
-    slot plan is the shared one from :func:`repro.codegen.ir.
-    physical_slots`, so the merge layout always matches the backends'.
-    """
-    return physical_slots(specs)
-
-
-# ---------------------------------------------------------------------------
 # The compiled parallel artifact
 # ---------------------------------------------------------------------------
 
@@ -188,10 +169,6 @@ class ScalarMergeSpec:
     slot_kinds: List[str]
     extract: List[Tuple[str, int, int]]
 
-
-# kept under the old private names for any out-of-tree callers
-_GroupMergeSpec = GroupMergeSpec
-_ScalarMergeSpec = ScalarMergeSpec
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +346,34 @@ class ParallelQuery:
         morsel_rows: int,
         redecide: Optional[Callable[..., Optional[int]]] = None,
     ) -> Any:
-        total = source_length(sources[self.morsel_ordinal])
-        if total is None:
-            raise ExecutionError(
-                "parallel execution requires sized sources; the provider "
-                "should have fallen back to sequential execution"
-            )
-        bounds = morsel_bounds(total, morsel_rows)
         METRICS.counter("parallel.executions").add()
+        partials = self.run_window(
+            sources, params, workers, morsel_rows, redecide=redecide
+        )
+        with TRACER.span("parallel.merge", mode=self.mode):
+            return self.finish(self.fold(None, partials), params)
+
+    def run_window(
+        self,
+        sources: List[Any],
+        params: Dict[str, Any],
+        workers: int,
+        morsel_rows: int,
+        start: int = 0,
+        stop: Optional[int] = None,
+        redecide: Optional[Callable[..., Optional[int]]] = None,
+    ) -> List[Any]:
+        """Run the morsel kernels over ``[start, stop)`` of the driver
+        (default: all of it) and return the raw per-morsel partials, one
+        ``parallel.morsel`` span each."""
+        if stop is None:
+            stop = source_length(sources[self.morsel_ordinal])
+            if stop is None:
+                raise ExecutionError(
+                    "parallel execution requires sized sources; the provider "
+                    "should have fallen back to sequential execution"
+                )
+        bounds = morsel_bounds(stop, morsel_rows, start=start)
         METRICS.counter("parallel.morsels_dispatched").add(len(bounds))
         with TRACER.span(
             "parallel.execute",
@@ -385,23 +382,48 @@ class ParallelQuery:
             morsels=len(bounds),
         ):
             with TRACER.span("parallel.dispatch", morsels=len(bounds)):
-                partials = self._run_morsels(
+                return self._run_morsels(
                     sources,
                     params,
                     bounds,
                     workers,
                     redecide=redecide,
                     morsel_rows=morsel_rows,
-                    total=total,
+                    total=stop,
                 )
-            with TRACER.span("parallel.merge", mode=self.mode):
-                if self.mode == "scalar":
-                    return self._merge_scalar(partials, params)
-                if self.mode == "group":
-                    rows = self._merge_groups(partials, params)
-                else:
-                    rows = [row for part in partials for row in part]
-                return self.apply_post_ops(rows, params)
+
+    # -- the merge seam ----------------------------------------------------------
+    #
+    # Every executor — the thread pool above, the delta recycler, the
+    # multi-process coordinator — folds its partials through this one
+    # pair.  ``fold`` is associative per mode (concat / slot folds / the
+    # streaming group aggregator) and its result is itself a valid
+    # partial, so the recycler can keep the *pre-finalization* state of a
+    # cached query and fold fresh delta partials into it:
+    # ``fold(old_state, delta_partials)`` equals a full re-merge.
+
+    def fold(self, state: Any, partials: List[Any]) -> Any:
+        """Merge *partials* (in window order) into *state* — ``None`` for
+        no prior state — and return the new pre-finalization state."""
+        parts = partials if state is None else [state] + partials
+        if self.mode == "scalar":
+            return merge_scalar_slots(self.scalar_spec.slot_kinds, parts)
+        if self.mode == "group":
+            return merge_group_table(self.group_spec, parts)
+        return [row for part in parts for row in part]
+
+    def finish(self, state: Any, params: Dict[str, Any]) -> Any:
+        """Finalize a folded state into the query's result: the scalar
+        value, or the rows with the peeled root operators re-applied."""
+        if self.mode == "scalar":
+            return finalize_scalar(self.scalar_spec, self.output, state, params)
+        if self.mode == "group":
+            rows = finalize_group_table(
+                self.group_spec, self.output, state, params
+            )
+        else:
+            rows = list(state)
+        return apply_post_ops(self.post_ops, rows, params)
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -499,78 +521,6 @@ class ParallelQuery:
             if str(exc) == _EMPTY_AGGREGATE_MSG:
                 return _NO_VALUE
             raise
-
-    # -- partial-state primitives ------------------------------------------------
-    #
-    # The merge algebra is exposed piecewise so the result recycler can
-    # keep the *pre-finalization* state of a cached query and fold fresh
-    # delta partials into it: merge is associative per mode (concat /
-    # slot folds / the streaming group aggregator), so
-    # ``merge(old_state, delta_partials)`` equals a full re-merge.
-
-    def run_window(
-        self,
-        sources: List[Any],
-        params: Dict[str, Any],
-        workers: int,
-        morsel_rows: int,
-        start: int = 0,
-        stop: Optional[int] = None,
-    ) -> List[Any]:
-        """Run the morsel kernels over ``[start, stop)`` of the driver and
-        return the raw per-morsel partials (one ``parallel.morsel`` span
-        each, exactly like :meth:`execute`)."""
-        if stop is None:
-            stop = source_length(sources[self.morsel_ordinal])
-            if stop is None:
-                raise ExecutionError(
-                    "parallel execution requires sized sources"
-                )
-        bounds = morsel_bounds(stop, morsel_rows, start=start)
-        METRICS.counter("parallel.morsels_dispatched").add(len(bounds))
-        with TRACER.span(
-            "parallel.execute",
-            mode=self.mode,
-            workers=workers,
-            morsels=len(bounds),
-        ):
-            with TRACER.span("parallel.dispatch", morsels=len(bounds)):
-                return self._run_morsels(sources, params, bounds, workers)
-
-    # The merge methods below delegate to the module-level pure functions
-    # so every executor (thread pool, delta recycler, distributed
-    # coordinator) shares one implementation of the algebra.
-
-    def merge_scalar_slots(self, partials: List[List[Any]]) -> List[Any]:
-        return merge_scalar_slots(self.scalar_spec.slot_kinds, partials)
-
-    def finalize_scalar(self, merged: List[Any], params: Dict[str, Any]) -> Any:
-        return finalize_scalar(self.scalar_spec, self.output, merged, params)
-
-    def merge_group_table(self, partials: List[List[Any]]) -> List[tuple]:
-        return merge_group_table(self.group_spec, partials)
-
-    def finalize_group_table(
-        self, table: List[tuple], params: Dict[str, Any]
-    ) -> List[Any]:
-        return finalize_group_table(self.group_spec, self.output, table, params)
-
-    def apply_post_ops(
-        self, rows: List[Any], params: Dict[str, Any]
-    ) -> List[Any]:
-        return apply_post_ops(self.post_ops, rows, params)
-
-    # -- scalar merge -----------------------------------------------------------
-
-    def _merge_scalar(self, partials: List[List[Any]], params: Dict[str, Any]) -> Any:
-        return self.finalize_scalar(self.merge_scalar_slots(partials), params)
-
-    # -- group merge ------------------------------------------------------------
-
-    def _merge_groups(
-        self, partials: List[List[Any]], params: Dict[str, Any]
-    ) -> List[Any]:
-        return self.finalize_group_table(self.merge_group_table(partials), params)
 
 
 @dataclass
@@ -701,7 +651,9 @@ def build_parallel_query(
             post_ops=split.post_ops,
         )
 
-    slots, extract = _physical_slots(core.aggregates)
+    # the shared slot plan (avg → sum + shared count), so the merge layout
+    # always matches the backends'
+    slots, extract = physical_slots(core.aggregates)
     if split.mode == "scalar":
         kernels = [
             compile_kernel(

@@ -13,8 +13,8 @@ one long NumPy expression — so a deadline needs two cooperating halves:
   boundary, or result-drain stride), releasing its admission slot from
   the worker's ``finally``.
 
-Nothing in the provider needs unwinding on a timeout: the compile
-per-key locks are released by the ``finally`` blocks the provider
+Nothing in the provider needs unwinding on a timeout: the per-shape
+compile locks are released by the ``finally`` blocks the provider
 already has, the query cache only ever stores *completed* artifacts, and
 the recycler materializes before storing (an aborted execution stores
 nothing).  A query with no deadline runs inline on the caller's thread —

@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..errors import ExecutionError
-from ..expressions.canonical import canonicalize
 from ..query.enumerable import enumerate_query
 from ..query.provider import pin_sources
 from ..runtime.cancellation import CANCEL_PARAM, CancellationToken
@@ -49,40 +48,37 @@ class PreparedStatement:
         self._sources = list(query.sources)
         self._base_params = dict(query.params)
         self._morsel_size = query.morsel_size
-        provider = session.provider
         requested = (
             query.parallelism
             if query.parallelism is not None
             else session.parallelism
         )
         self._parallelism = requested
+        self._expr = query.expr
+        shape = session.provider.shape(query.expr, self._sources)
+        self._bindings = shape.bindings
+        self._compiled = None
+        self._parallel = None
         if self._engine == "linq":
             # the baseline never compiles, but preparation still hoists
             # canonicalization and static analysis out of execute()
-            self._canonical = canonicalize(query.expr)
-            provider._analysis_for(self._canonical, self._sources)
-            self._expr = query.expr
-            self._compiled = None
-            self._bindings = self._canonical.bindings
-            self._parallel = None
+            shape.analysis()
         else:
-            self._compiled, self._bindings = provider._compiled_for(
-                query.expr, self._sources, self._engine
-            )
-            self._expr = query.expr
-            # the morsel artifact is worker-count independent; build it
-            # once here when parallel execution was requested
-            self._parallel = (
-                provider._parallel_plan(
-                    query.expr,
-                    self._sources,
+            self._compiled = shape.compiled(self._engine)
+            if requested is not None and requested > 1:
+                # the morsel artifact is worker-count independent;
+                # resolve the thread tier once here (distributed=0: a
+                # prepared statement never leaves the process)
+                tier = session.provider.tier(
+                    shape,
                     self._engine,
-                    requested,
-                    scalar=self._compiled.scalar,
+                    self._compiled.scalar,
+                    {},
+                    parallelism=requested,
+                    distributed=0,
                 )
-                if requested is not None and requested > 1
-                else None
-            )
+                if tier.artifact is not None:
+                    self._parallel = tier
 
     # -- introspection ------------------------------------------------------------
 
@@ -149,14 +145,14 @@ class PreparedStatement:
             )
         workers = parallelism if parallelism is not None else 1
         if self._parallel is not None and workers > 1:
-            requested_workers, morsel_rows, artifact = self._parallel
-            rows = artifact.execute(
+            tier = self._parallel
+            rows = tier.artifact.execute(
                 sources,
                 merged,
-                min(workers, requested_workers),
-                self._morsel_size or morsel_rows,
+                min(workers, tier.workers),
+                self._morsel_size or tier.morsel,
             )
-            if artifact.scalar:
+            if tier.artifact.scalar:
                 return rows
             return drain(iter(rows), token)
         result = self._compiled.execute(sources, merged)

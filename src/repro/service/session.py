@@ -208,7 +208,7 @@ class QuerySession:
                 params,
                 parallelism=granted,
                 morsel_size=query.morsel_size or self.morsel_size,
-                **({} if adaptive is None else {"adaptive": adaptive}),
+                adaptive=adaptive,
             )
             return drain(iterator, token)
 

@@ -7,7 +7,7 @@ cache-hitting and cache-missing queries and assert
 * every thread always observes correct results (no torn artifacts),
 * ``CacheStats`` counters stay exactly consistent (no lost updates), and
 * a query compiles exactly once no matter how many threads race to it
-  (per-key compile locking — no duplicate-compilation races).
+  (per-shape compile locking — no duplicate-compilation races).
 """
 
 import threading
@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro import new
+from repro.observability.metrics import METRICS
 from repro.query import QueryCache, QueryProvider, from_iterable
 from repro.storage import Field, Schema, StructArray
 
@@ -32,7 +33,13 @@ SHAPE_COUNT = 6
 
 
 def _query(provider, shape, threshold):
-    base = from_iterable(OBJECTS, schema=SCHEMA).using("compiled", provider)
+    # pinned sequential: the exact artifact counts below would otherwise
+    # include the partial kernels REPRO_PARALLELISM asks for
+    base = (
+        from_iterable(OBJECTS, schema=SCHEMA)
+        .using("compiled", provider)
+        .in_parallel(1)
+    )
     if shape == 0:
         return ("rows", base.where(lambda r: r.x > threshold))
     if shape == 1:
@@ -86,25 +93,23 @@ def _run_one(provider, shape, threshold):
     return result
 
 
-def _count_compiles(provider):
-    """Monkey-wrap _compile with a thread-safe invocation counter."""
-    lock = threading.Lock()
-    counter = {"n": 0}
-    original = provider._compile
+class _CompileCount:
+    """Compilations since construction, by the program's own counter
+    (``compile.compiled.count`` moves once per backend compilation)."""
 
-    def counting(canonical, sources, engine):
-        with lock:
-            counter["n"] += 1
-        return original(canonical, sources, engine)
+    def __init__(self):
+        self._counter = METRICS.counter("compile.compiled.count")
+        self._before = self._counter.value
 
-    provider._compile = counting
-    return counter
+    @property
+    def n(self):
+        return self._counter.value - self._before
 
 
 @pytest.mark.parametrize("repetition", range(3))
 def test_shared_provider_stress(repetition):
     provider = QueryProvider()
-    compiles = _count_compiles(provider)
+    compiles = _CompileCount()
     n_threads = 10
     iterations = 25
     failures = []
@@ -138,9 +143,9 @@ def test_shared_provider_stress(repetition):
     # exactly one cache probe per execution — hits + misses must balance
     # even under contention (a lost update would break this sum)
     assert stats.hits + stats.misses == executions
-    # per-key locking: each of the 6 shapes compiled exactly once, no
+    # per-shape locking: each of the 6 shapes compiled exactly once, no
     # matter that 10 threads raced to a cold cache
-    assert compiles["n"] == SHAPE_COUNT
+    assert compiles.n == SHAPE_COUNT
     assert stats.misses == SHAPE_COUNT
     assert stats.hits == executions - SHAPE_COUNT
     assert stats.evictions == 0
@@ -150,7 +155,7 @@ def test_shared_provider_stress(repetition):
 def test_cold_cache_single_compilation_race():
     """All threads race to one uncompiled query: exactly one compile."""
     provider = QueryProvider()
-    compiles = _count_compiles(provider)
+    compiles = _CompileCount()
     n_threads = 12
     barrier = threading.Barrier(n_threads)
     results = []
@@ -170,7 +175,7 @@ def test_cold_cache_single_compilation_race():
 
     want = _expected(0, 150)
     assert all(r == want for r in results)
-    assert compiles["n"] == 1
+    assert compiles.n == 1
     assert provider.cache.stats.misses == 1
     assert provider.cache.stats.hits == n_threads - 1
 
@@ -179,7 +184,7 @@ def test_cold_cache_single_compilation_race():
 def test_stress_under_eviction(repetition):
     """A tiny cache forces evict/recompile churn; stats stay consistent."""
     provider = QueryProvider(cache=QueryCache(max_entries=3))
-    compiles = _count_compiles(provider)
+    compiles = _CompileCount()
     n_threads = 8
     iterations = 20
     failures = []
@@ -211,17 +216,14 @@ def test_stress_under_eviction(repetition):
     executions = n_threads * iterations
     assert stats.hits + stats.misses == executions
     # every miss compiled (eviction forces recompilation, never corruption)
-    assert compiles["n"] == stats.misses
+    assert compiles.n == stats.misses
     assert len(provider.cache) <= 3
-    # eviction accounting is exact for BOTH entry kinds: entries stored
-    # minus entries still resident equals entries evicted
-    resident_compiled = len(provider.cache._entries)
-    resident_analyses = len(provider.cache._analyses)
-    stored_compiled = stats.misses
-    stored_analyses = stats.analysis_misses
-    assert stats.evictions == (stored_compiled - resident_compiled) + (
-        stored_analyses - resident_analyses
+    # eviction accounting is exact: artifacts compiled minus artifacts
+    # still resident equals artifacts evicted
+    assert sum(len(held) for held in provider.cache.resident()) == len(
+        provider.cache
     )
+    assert stats.evictions == stats.misses - len(provider.cache)
 
 
 def test_parallel_execution_from_many_threads():

@@ -512,3 +512,87 @@ def test_plain_growth_compacts_superseded_entries():
     )
     other.to_list()
     assert provider.cached_results == 2
+
+
+# ---------------------------------------------------------------------------
+# the recycler on the provider's one execution body and one record
+# ---------------------------------------------------------------------------
+
+
+def test_recycler_accepts_the_process_tier_knob():
+    """``.distributed(n)`` through a RecyclingProvider used to raise
+    ``TypeError`` (its execute lacked the parameter); it now overrides
+    the one execution body, so every knob of the plain provider works.
+    Plain rows do not shard, so this runs in-process."""
+    rng = random.Random(12)
+    rows = list(StructArray.from_rows(T1, _rows_a(rng, 50)).to_objects())
+
+    def query(provider):
+        return (
+            from_iterable(rows)
+            .using("compiled", provider)
+            .where(lambda r: r.g != 1)
+            .select(lambda r: new(i=r.rid, v=r.v))
+        )
+
+    expected = query(QueryProvider()).to_list()
+    provider = RecyclingProvider()
+    assert query(provider).distributed(2).to_list() == expected
+    assert query(provider).distributed(2).to_list() == expected
+    assert provider.recycler_stats.hits == 1
+    assert query(provider).where(lambda r: r.v > 0).distributed(2).count() == len(
+        [r for r in expected if r.v > 0]
+    )
+
+
+def test_partial_kernels_are_keyed_by_shape_not_worker_count():
+    """One compilation of the morsel kernels serves every worker count
+    and the recycler's delta refresh (the parent keyed them by worker
+    count, and the recycler asked for its own copy under ``2``)."""
+    rng = random.Random(13)
+    arr = StructArray.from_rows(T1, _rows_a(rng, 200))
+    cache = QueryProvider().cache
+
+    def query(provider):
+        return (
+            from_iterable(arr)
+            .using("native", provider)
+            .where(lambda r: r.g >= 0)
+            .group_by(
+                lambda r: r.g,
+                lambda grp: new(k=grp.key, t=grp.sum(lambda r: r.v)),
+            )
+        )
+
+    plain = QueryProvider(cache=cache)
+    with TRACER.capture() as cold:
+        first = query(plain).in_parallel(2, 50).to_list()
+    assert _spans_named(cold, "codegen.generate")
+    recycling = RecyclingProvider(cache=cache)
+    with TRACER.capture() as warm:
+        assert query(plain).in_parallel(3, 50).to_list() == first
+        assert query(recycling).to_list() == first
+        arr.append_rows(_rows_a(rng, 20))
+        refreshed = query(recycling).to_list()
+    assert recycling.recycler_stats.delta_hits == 1
+    assert refreshed == query(QueryProvider()).to_list()
+    assert _spans_named(warm, "codegen.generate") == []
+
+
+def test_field_named_id_recycles():
+    """A *field* called ``id`` is an attribute access, not the builtin:
+    the lambda is deterministic and its result recycles."""
+    schema = Schema([Field("id", "int"), Field("v", "float")], name="WithId")
+    arr = StructArray.from_rows(schema, [(i, i * 0.5) for i in range(30)])
+    provider = RecyclingProvider()
+    query = (
+        from_iterable(arr)
+        .using("compiled", provider)
+        .where(lambda r: r.id > 3)
+        .select(lambda r: r.v)
+    )
+    hits = METRICS.counter("recycler.hits").value
+    skips = METRICS.counter("recycler.nondeterministic_skips").value
+    assert query.to_list() == query.to_list() == [i * 0.5 for i in range(4, 30)]
+    assert METRICS.counter("recycler.hits").value == hits + 1
+    assert METRICS.counter("recycler.nondeterministic_skips").value == skips

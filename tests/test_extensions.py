@@ -355,7 +355,7 @@ class TestRecyclingProvider:
         class Weird:
             __hash__ = None
 
-        key = provider._result_key(
+        key, _ = provider._result_key(
             query.expr, list(query.sources), "linq", {"xs": Weird()}
         )
         assert key is None

@@ -241,14 +241,12 @@ class TestMetrics:
         # both are incremented under the same lock, in the same branch
         reg = MetricsRegistry()
         cache = QueryCache(max_entries=2, metrics=reg)
-        cache.find("k")  # miss
-        cache.store("k", object())
-        cache.find("k")  # hit
-        for i in range(4):
-            cache.store(i, object())  # 3 evictions at max_entries=2
-        cache.find_analysis("a")  # analysis miss
-        cache.store_analysis("a", object())
-        cache.find_analysis("a")  # analysis hit
+        cache.count(hit=False)
+        cache.count(hit=True)
+        for i in range(5):  # 3 evictions at max_entries=2
+            cache.admit(cache.record(i), ("compiled", "sequential"), object())
+        cache.count_analysis(hit=False)
+        cache.count_analysis(hit=True)
 
         stats = cache.stats
         snap = reg.snapshot()

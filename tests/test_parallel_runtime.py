@@ -13,6 +13,7 @@ import pytest
 
 from repro import new
 from repro.errors import ExecutionError
+from repro.observability.tracer import TRACER
 from repro.query import QueryProvider, from_iterable, from_struct_array
 from repro.query.provider import PARALLEL_ENGINES
 from repro.runtime.parallel import (
@@ -334,7 +335,7 @@ class TestFallbacks:
         explicit_one = list(q.in_parallel(1))
         # no morsel kernels were built for workers=1 (checked before the
         # plain query runs: REPRO_PARALLELISM may parallelize that one)
-        assert len(provider._parallel_entries) == 0
+        assert provider.cache.resident() == [(("compiled", "sequential"),)]
         assert explicit_one == list(q)
 
     def test_linq_ignores_parallelism(self):
@@ -380,15 +381,12 @@ class TestFallbacks:
         sequential = [(row.i, row.w) for row in q]
         parallel = [(row.i, row.w) for row in q.in_parallel(4, 7)]
         assert parallel == sequential
-        # the split refused the plan: only sequential-fallback markers,
-        # never a built morsel artifact
-        from repro.query.provider import _SEQUENTIAL
-
-        assert provider._parallel_entries
-        assert all(
-            entry is _SEQUENTIAL
-            for entry in provider._parallel_entries.values()
-        )
+        # the split refused the plan: a refusal with its reason on the
+        # record, never a built morsel artifact
+        assert provider.cache.resident() == [(("compiled", "sequential"),)]
+        shape = provider.shape(q.expr, list(q.sources))
+        assert shape.partial("compiled", "threads") is None
+        assert "join" in shape.refusal("compiled", "threads")
 
     def test_unfused_group_falls_back_but_stays_correct(self):
         provider = QueryProvider(
@@ -416,7 +414,8 @@ class TestFallbacks:
         )
         monkeypatch.setenv("REPRO_PARALLELISM", "4")
         with_env = list(q)
-        assert len(provider._parallel_entries) == 1  # morsel kernels built
+        # morsel kernels built
+        assert ("compiled", "threads") in provider.cache.resident()[0]
         monkeypatch.delenv("REPRO_PARALLELISM")
         assert list(q) == with_env
 
@@ -432,7 +431,7 @@ class TestFallbacks:
         )
         monkeypatch.setenv("REPRO_PARALLELISM", "4")
         assert list(q.in_parallel(1)) == list(range(20))
-        assert len(provider._parallel_entries) == 0
+        assert provider.cache.resident() == [(("compiled", "sequential"),)]
 
     def test_default_morsel_size_is_cache_blocked(self):
         assert DEFAULT_MORSEL_ROWS == 65536
@@ -448,7 +447,13 @@ class TestFallbacks:
             .select(lambda r: r.v)
             .in_parallel(3, 7)
         )
-        first = list(q)
-        entries_after_first = len(provider._parallel_entries)
-        assert list(q) == first
-        assert len(provider._parallel_entries) == entries_after_first
+        with TRACER.capture() as cold:
+            first = list(q)
+        assert provider.cache.resident() == [
+            (("compiled", "sequential"), ("compiled", "threads"))
+        ]
+        with TRACER.capture() as warm:
+            assert list(q) == first
+        assert "codegen.generate" in [s.name for s in cold]
+        assert "codegen.generate" not in [s.name for s in warm]
+        assert len(provider.cache) == 2

@@ -83,13 +83,26 @@ def _drained(service):
         if (
             service.admission.running == 0
             and service.admission.queue_depth == 0
-            and not service.provider._key_locks
         ):
             break
         time.sleep(0.05)
     assert service.admission.running == 0
     assert service.admission.queue_depth == 0
-    assert service.provider._key_locks == {}
+    assert _compile_locks_free(service.provider)
+
+
+def _compile_locks_free(provider):
+    """Analysis takes its shape's compile lock, so a lock leaked by a
+    timed-out or cancelled worker would hang this probe."""
+
+    def probe():
+        for query in (_fast_query(provider), _slow_query(provider)):
+            provider.shape(query.expr, list(query.sources)).analysis()
+
+    thread = threading.Thread(target=probe, daemon=True)
+    thread.start()
+    thread.join(timeout=30.0)
+    return not thread.is_alive()
 
 
 class Outcomes:

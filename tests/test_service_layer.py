@@ -474,11 +474,22 @@ class TestDeadlineAcrossEngines:
         # the doomed *worker* releases its slot at its next checkpoint,
         # which can be after the caller already got its QueryTimeoutError
         for _ in range(600):
-            if service.admission.running == 0 and not provider._key_locks:
+            if service.admission.running == 0:
                 break
             time.sleep(0.05)
-        assert provider._key_locks == {}
         assert service.admission.running == 0
+        # analysis takes the shape's compile lock: a lock leaked by the
+        # timed-out worker would hang this probe
+        doomed_query = _slow_query(provider, "compiled")
+        probe = threading.Thread(
+            target=provider.shape(
+                doomed_query.expr, list(doomed_query.sources)
+            ).analysis,
+            daemon=True,
+        )
+        probe.start()
+        probe.join(timeout=30.0)
+        assert not probe.is_alive()
 
     def test_session_close_cancels_inflight(self):
         service = QueryService(provider=QueryProvider())

@@ -7,12 +7,14 @@ and every generated module must pass the AST verifier.
 """
 
 import datetime
+import time
 from collections import namedtuple
 
 import numpy as np
 import pytest
 
 import repro.codegen.compiler as compiler_module
+from repro.analysis.effects import analyze_callable
 from repro.codegen.compiler import compile_source
 from repro.codegen.verifier import (
     SAFE_BUILTINS,
@@ -173,12 +175,12 @@ class TestMalformedQueries:
 
     def test_error_raised_before_backend_exists(self, monkeypatch):
         """Analysis precedes codegen: the backend is never even built."""
-        import repro.query.provider as provider_module
+        import repro.query.shape as shape_module
 
         def explode(engine):
             raise AssertionError("backend constructed for an ill-typed query")
 
-        monkeypatch.setattr(provider_module, "_make_backend", explode)
+        monkeypatch.setattr(shape_module, "_make_backend", explode)
         q = (
             from_struct_array(make_array())
             .using("compiled", QueryProvider())
@@ -447,3 +449,25 @@ class TestInferredKinds:
         assert isinstance(analysis.result, RecordType)
         assert analysis.result.field_type("k") == ScalarType("int")
         assert analysis.result.field_type("total") == ScalarType("float")
+
+
+class TestEffectBinding:
+    """Nondeterminism is judged by what a name is *bound* to: ``id``
+    counts only as the builtin (a global load), never as a field."""
+
+    def test_field_named_id_is_deterministic(self):
+        assert analyze_callable(lambda r: r.id > 3).pure
+        assert analyze_callable(lambda r: r.owner.id + r.id).pure
+
+    def test_builtin_id_is_nondeterministic(self):
+        report = analyze_callable(lambda r: id(r))
+        assert report.nondeterministic
+        assert "'id'" in report.reasons[0]
+        assert analyze_callable(lambda r: id(r) + r.id).nondeterministic
+
+    def test_clock_reads_are_still_nondeterministic(self):
+        assert analyze_callable(lambda r: time.time()).nondeterministic
+        assert analyze_callable(
+            lambda r: datetime.datetime.now()
+        ).nondeterministic
+        assert analyze_callable(lambda r: r.x + 1).pure
