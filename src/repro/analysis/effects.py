@@ -25,13 +25,20 @@ recycler — not semantic transformations.
 Reports ride on :class:`repro.expressions.nodes.Lambda` in a
 compare-excluded field, so structural equality, hashing and cache keys
 are unaffected.
+
+A code object never changes, so everything read from it — the bytecode
+scan — is memoised per code object in a bounded LRU.  What a closure
+*captures* does change from one closure to the next (two closures made by
+one ``def`` share their code), so the captured-container check runs on
+every call, and only when the scan found a mutating method name.
 """
 
 from __future__ import annotations
 
 import dis
+import functools
 from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
-from typing import Any, Iterable, Optional, Tuple
+from typing import Any, Iterable, NamedTuple, Optional, Tuple
 
 from ..expressions.nodes import Expr, Lambda, walk
 from ..plans.logical import Plan, plan_children
@@ -116,19 +123,24 @@ class EffectReport:
 
 PURE = EffectReport()
 
+#: distinct code objects whose bytecode scan is kept
+SCAN_CACHE_SIZE = 1024
 
-def analyze_callable(fn: Any) -> EffectReport:
-    """Inspect a Python callable's code object for effects.
 
-    Callables without a code object (builtins, already-traced
-    :class:`Lambda` nodes) are reported pure.
-    """
-    code = getattr(fn, "__code__", None)
-    if code is None:
-        return PURE
-    nondeterministic = mutates = io = False
-    reasons = []
+class _CodeScan(NamedTuple):
+    """What one code object's bytecode says, whatever its closure holds."""
 
+    #: the verdict before the captured-container check
+    report: EffectReport
+    #: how many of ``report.reasons`` are write reasons; a captured
+    #: container's reason goes right after them
+    writes: int
+    #: the first mutating method name the code calls, if any
+    mutator: Optional[str]
+
+
+@functools.lru_cache(maxsize=SCAN_CACHE_SIZE)
+def _scan_code(code: Any) -> _CodeScan:
     global_writes = []
     closure_writes = []
     global_loads = set()
@@ -142,33 +154,17 @@ def analyze_callable(fn: Any) -> EffectReport:
             and instruction.argval in code.co_freevars
         ):
             closure_writes.append(str(instruction.argval))
+    reasons = []
     if global_writes:
-        mutates = True
         reasons.append(f"writes global {global_writes[0]!r}")
     if closure_writes:
-        mutates = True
         reasons.append(f"writes closed-over variable {closure_writes[0]!r}")
+    writes = len(reasons)
 
     names = set(code.co_names)
     mutator_hits = sorted(names & _MUTATOR_NAMES)
-    if mutator_hits:
-        closure = getattr(fn, "__closure__", None) or ()
-        for var_name, cell in zip(code.co_freevars, closure):
-            try:
-                value = cell.cell_contents
-            except ValueError:
-                continue
-            if isinstance(value, _MUTABLE_TYPES):
-                mutates = True
-                reasons.append(
-                    f"captures mutable {type(value).__name__} "
-                    f"{var_name!r} and calls {mutator_hits[0]!r}"
-                )
-                break
-
     io_hits = sorted(names & _IO_NAMES)
     if io_hits:
-        io = True
         reasons.append(f"performs I/O via {io_hits[0]!r}")
 
     # ``id`` is also an everyday field name: only the builtin — a global
@@ -179,14 +175,48 @@ def analyze_callable(fn: Any) -> EffectReport:
         if name != "id" or name in global_loads
     )
     if nondet_hits:
-        nondeterministic = True
-        reasons.append(
-            f"references nondeterministic name {nondet_hits[0]!r}"
-        )
+        reasons.append(f"references nondeterministic name {nondet_hits[0]!r}")
 
-    if not (nondeterministic or mutates or io):
+    report = PURE
+    if reasons:
+        report = EffectReport(
+            bool(nondet_hits), bool(writes), bool(io_hits), tuple(reasons)
+        )
+    return _CodeScan(report, writes, mutator_hits[0] if mutator_hits else None)
+
+
+def analyze_callable(fn: Any) -> EffectReport:
+    """Inspect a Python callable's code object for effects.
+
+    Callables without a code object (builtins, already-traced
+    :class:`Lambda` nodes) are reported pure.
+    """
+    code = getattr(fn, "__code__", None)
+    if code is None:
         return PURE
-    return EffectReport(nondeterministic, mutates, io, tuple(reasons))
+    scan = _scan_code(code)
+    if scan.mutator is None:
+        return scan.report
+    closure = getattr(fn, "__closure__", None) or ()
+    for var_name, cell in zip(code.co_freevars, closure):
+        try:
+            value = cell.cell_contents
+        except ValueError:
+            continue
+        if isinstance(value, _MUTABLE_TYPES):
+            report = scan.report
+            reasons = report.reasons
+            captured = (
+                f"captures mutable {type(value).__name__} "
+                f"{var_name!r} and calls {scan.mutator!r}"
+            )
+            return EffectReport(
+                report.nondeterministic,
+                True,
+                report.io,
+                reasons[: scan.writes] + (captured,) + reasons[scan.writes :],
+            )
+    return scan.report
 
 
 def merge_effects(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Tuple
 
+from ..analysis.effects import analyze_callable
 from ..errors import TraceError
 from .nodes import (
     AGGREGATE_KINDS,
@@ -287,10 +288,6 @@ def trace_lambda(
     ``group_params`` receive group proxies, whose ``key`` member and
     aggregate methods are meaningful.
     """
-    # imported lazily: repro.analysis pulls in repro.plans, which must not
-    # load while the expressions package is still initializing
-    from ..analysis.effects import analyze_callable
-
     if isinstance(fn, Lambda):
         return fn
     if not callable(fn):

@@ -67,6 +67,11 @@ class Expr:
 
     __slots__ = ()
 
+    #: the tree's :class:`~repro.expressions.canonical.CanonicalQuery`,
+    #: memoised on the root it was computed for; not a field, so never
+    #: compared, hashed or printed
+    _canonical = None
+
 
 @dataclass(frozen=True)
 class Constant(Expr):

@@ -4,7 +4,8 @@ This is the paper's Figure 3 pipeline.  When a query's result is first
 consumed, the provider
 
 1. reduces the expression tree to canonical form (constants folded, the
-   survivors lifted to parameters — ``ConstantEvaluator``);
+   survivors lifted to parameters — ``ConstantEvaluator``), which a
+   re-executed tree already carries;
 2. looks up the shape's :class:`~repro.query.cache.ShapeRecord` in the
    :class:`~repro.query.cache.QueryCache`, keyed by the canonical tree +
    optimizer options + the sources' physical design;
@@ -354,9 +355,15 @@ class QueryProvider:
         span; any failure lands on the static fallback, never an error."""
         with TRACER.span("query.decide", engine=engine) as span:
             try:
-                tree_key, _, signature = shape.record.key
-                key = controller.profile_key(("::adaptive", signature, tree_key))
                 sources = shape.sources
+                tree_key, _, signature = shape.record.key
+                # an object list and a StructArray of one schema share a
+                # record key, but no arm's timing carries over between them
+                # (the compiled engine decodes StructArray rows one by one)
+                representation = tuple(isinstance(s, StructArray) for s in sources)
+                key = controller.profile_key(
+                    ("::adaptive", signature, representation, tree_key)
+                )
                 estimate = controller.estimated_rows(
                     key,
                     lambda: estimate_plan_rows(

@@ -31,8 +31,9 @@ from repro.adaptive import (
     seed_configuration,
 )
 from repro.observability.metrics import METRICS, MetricsRegistry
-from repro.query import QueryProvider, from_iterable
+from repro.query import QueryProvider, from_iterable, from_struct_array
 from repro.service.admission import AdmissionController
+from repro.storage import Field, Schema, StructArray
 
 KEY = "deadbeefdeadbeefcafe"
 
@@ -241,6 +242,46 @@ def test_decision_tiers_estimate_then_profile():
     second = controller.decide(KEY, "compiled", ("compiled",), estimate, 65536)
     assert second.source == "profile"
     assert second.workers == first.workers
+
+
+def test_profiles_are_kept_per_source_representation():
+    """An object list and a StructArray of one schema share a record key
+    but not a profile: arms timed on one never steer the other (the
+    compiled engine decodes StructArray rows one at a time)."""
+    schema = Schema([Field("a", "int"), Field("g", "int")], name="Rep")
+    array = StructArray.from_rows(schema, [(i, i % 7) for i in range(400)])
+    provider = QueryProvider()
+    store = ProfileStore(None)
+    controller = AdaptiveController(
+        store=store, chooser=AdaptiveChooser(store, epsilon=0.0)
+    )
+
+    def query(source, engine):
+        return (
+            source.where(lambda r: r.g > 2)
+            .select(lambda r: r.a)
+            .using(engine, provider, adaptive=controller)
+        )
+
+    on_objects = query(from_iterable(array.to_objects(), schema=schema), "compiled")
+    on_arrays = query(from_struct_array(array), "native")
+    array_shape = provider.shape(on_arrays.expr, list(on_arrays.sources))
+    assert (
+        provider.shape(on_objects.expr, list(on_objects.sources)).record
+        is array_shape.record
+    )
+    for _ in range(3):
+        on_objects.to_list()
+    (object_key,) = store._profiles
+    first = provider.peek_decision(array_shape, "native", controller)
+    assert (first.engine, first.source) == ("native", "estimate")
+    for _ in range(3):
+        on_arrays.to_list()
+    (array_key,) = set(store._profiles) - {object_key}
+    assert store.profile(object_key).runs == 3
+    assert {c.engine for c in store.profile(array_key).configs.values()} == {"native"}
+    again = provider.peek_decision(array_shape, "native", controller)
+    assert (again.engine, again.source) == ("native", "profile")
 
 
 def test_seed_configuration_small_inputs_stay_sequential():

@@ -5,15 +5,20 @@ summed over records); ``len``, ``stats`` and ``resident()`` are everything
 these tests read.  Pinned here: hit/miss/eviction accounting at the unit
 and the provider level, that a record — analysis, plan, IR, facts and every
 engine's artifacts — is the unit of eviction, that each stage of the
-pipeline runs once per shape however many engines ask, and that nothing
-per-shape survives outside the bounded cache.
+pipeline runs once per shape however many engines ask, that nothing
+per-shape survives outside the bounded cache, and that a tree's canonical
+form lives on that tree and nowhere else.
 """
 
+import gc
 import operator
 import threading
+import weakref
 
+import repro.expressions.canonical as canonical_module
 import repro.query.provider as provider_module
-from repro import new
+from repro import P, new
+from repro.expressions import Constant, ExprProxy
 from repro.observability.tracer import TRACER
 from repro.query import QueryCache, QueryProvider, from_iterable
 from repro.storage import Field, Schema, StructArray
@@ -380,3 +385,58 @@ class TestRecordIsTheUnitOfEviction:
         for name, value in vars(provider).items():
             if name != "cache" and hasattr(value, "__len__"):
                 assert len(value) == 0, name
+
+
+class TestCanonicalMemo:
+    """A tree keeps its canonical form: re-executing it (``with_params``,
+    reuse) reads the memo instead of walking the tree again."""
+
+    def test_a_mutated_list_constant_is_refolded(self):
+        provider = QueryProvider()
+        wanted = []
+        # `7 in wanted` folds to a constant: a memo would freeze it
+        query = (
+            from_iterable(OBJECTS, schema=SCHEMA)
+            .using("compiled", provider)
+            .in_parallel(1)
+            .where(lambda r: (r.x > 15) & ExprProxy(Constant(wanted)).contains(7))
+        )
+        assert query.to_list() == []
+        wanted.append(7)
+        assert [r.x for r in query.to_list()] == [16, 17, 18, 19]
+        assert query.expr._canonical is None
+
+    def test_with_params_reexecutions_hit_without_rewalking(self, monkeypatch):
+        provider = QueryProvider()
+        base = (
+            from_iterable(OBJECTS, schema=SCHEMA)
+            .using("compiled", provider)
+            .in_parallel(1)
+            .where(lambda r: (r.x > P("t")) & (r.y < 100.0))
+        )
+        base.with_params(t=0).to_list()
+        walks = []
+
+        class Counting(canonical_module._Canonicalizer):
+            def __init__(self):
+                walks.append(1)
+                super().__init__()
+
+        monkeypatch.setattr(canonical_module, "_Canonicalizer", Counting)
+        for t in range(5):
+            assert len(base.with_params(t=t).to_list()) == 19 - t
+        stats = provider.cache.stats
+        assert (stats.misses, stats.hits) == (1, 5)
+        assert walks == []
+
+    def test_memo_dies_with_its_tree(self):
+        provider = QueryProvider()
+        base = from_iterable(ARRAY).using("compiled", provider).in_parallel(1)
+        memos = []
+        for i in range(1000):
+            query = base.where(lambda r: r.x > i % 7).select(lambda r: r.y * 2.0)
+            assert query.to_list()
+            memos.append(weakref.ref(query.expr._canonical))
+            del query
+        gc.collect()
+        assert [ref for ref in memos if ref() is not None] == []

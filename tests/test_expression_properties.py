@@ -1,12 +1,14 @@
 """Property tests over randomly generated expression trees.
 
-Three invariants, each checked on hypothesis-generated trees:
+Four invariants, each checked on hypothesis-generated trees:
 
 * the interpreter and the printed-then-eval'd source agree (the §4 premise
   that inlined code preserves interpreted semantics);
 * constant folding never changes a tree's value;
 * parameterization round-trips: evaluating the lifted tree with its
-  bindings equals evaluating the original.
+  bindings equals evaluating the original;
+* the one-pass canonicalizer equals folding then lifting, and is
+  idempotent.
 """
 
 from types import SimpleNamespace
@@ -18,14 +20,19 @@ from repro.expressions import (
     Binary,
     Conditional,
     Constant,
+    Lambda,
     Member,
+    New,
+    QueryOp,
     ScalarPrinter,
+    SourceExpr,
     Unary,
     Var,
     canonicalize,
     fold_constants,
     interpret,
     parameterize,
+    structural_key,
 )
 
 _ELEMENT = SimpleNamespace(a=3, b=-7, c=12)
@@ -110,6 +117,59 @@ class TestRandomExpressionInvariants:
         if not free_vars(expr):
             folded = fold_constants(expr)
             assert isinstance(folded, Constant)
+
+
+@st.composite
+def query_expr(draw):
+    """A where → select → take query whose lambdas hold numeric_expr
+    bodies, some divided by a subtree that may fold to zero (a fold that
+    fails and must stay in the tree)."""
+    source = SourceExpr(0, "S")
+    predicate = Binary("gt", draw(numeric_expr()), draw(numeric_expr()))
+    projected = draw(numeric_expr())
+    if draw(st.booleans()):
+        projected = Binary("floordiv", projected, draw(numeric_expr(depth=1)))
+    return QueryOp(
+        "take",
+        QueryOp(
+            "select",
+            QueryOp("where", source, (Lambda(("s",), predicate),)),
+            (Lambda(("s",), New((("v", projected),))),),
+        ),
+        (Constant(draw(st.integers(0, 9))),),
+    )
+
+
+class TestOnePassCanonicalizer:
+    """``canonicalize`` folds, lifts and keys in one walk; the two-pass
+    ``parameterize(fold_constants(e))`` is its oracle."""
+
+    @staticmethod
+    def _oracle(expr):
+        return parameterize(fold_constants(expr))
+
+    @given(st.one_of(numeric_expr(), query_expr()))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fold_then_parameterize(self, expr):
+        tree, bindings = self._oracle(expr)
+        canonical = canonicalize(expr)
+        assert canonical.tree == tree
+        assert list(canonical.bindings.items()) == list(bindings.items())
+        assert canonical.key == structural_key(tree)
+
+    @given(st.one_of(numeric_expr(), query_expr()))
+    @settings(max_examples=200, deadline=None)
+    def test_idempotent(self, expr):
+        canonical = canonicalize(expr)
+        again = canonicalize(canonical.tree)
+        assert again.key == canonical.key
+        assert again.bindings == {}
+
+    @given(query_expr())
+    @settings(max_examples=50, deadline=None)
+    def test_memoised_on_the_tree(self, expr):
+        # every constant here is an int: the form is computed once
+        assert canonicalize(expr) is canonicalize(expr)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+import repro.analysis.effects as effects_module
 import repro.codegen.compiler as compiler_module
 from repro.analysis.effects import analyze_callable
 from repro.codegen.compiler import compile_source
@@ -471,3 +472,60 @@ class TestEffectBinding:
             lambda r: datetime.datetime.now()
         ).nondeterministic
         assert analyze_callable(lambda r: r.x + 1).pure
+
+
+_SINK = None
+
+
+def _writes_global(r):
+    global _SINK
+    _SINK = r
+    return r.x
+
+
+def _appender(captured):
+    """Every closure this makes shares one code object."""
+    return lambda r: captured.append(r)
+
+
+class TestEffectMemo:
+    """The bytecode scan is memoised per code object; what a closure
+    captures is still judged per closure."""
+
+    def test_closures_of_one_def_are_judged_by_their_own_cells(self):
+        over_list, over_tuple = _appender([]), _appender(())
+        assert over_list.__code__ is over_tuple.__code__
+        for _ in range(2):  # the second round reads the memoised scan
+            mutating = analyze_callable(over_list)
+            assert mutating.mutates
+            assert mutating.describe() == (
+                "mutating (captures mutable list 'captured' and calls 'append')"
+            )
+            assert analyze_callable(over_tuple).pure
+
+    def test_memoised_verdicts_match_the_first_scan(self):
+        callables = (
+            _writes_global,
+            lambda r: id(r),
+            lambda r: r.id > 3,
+            lambda r: time.time(),
+        )
+        first = [analyze_callable(fn) for fn in callables]
+        hits = effects_module._scan_code.cache_info().hits
+        assert [analyze_callable(fn) for fn in callables] == first
+        assert effects_module._scan_code.cache_info().hits >= hits + len(callables)
+        global_write, builtin_id, field_id, clock = first
+        assert global_write.mutates
+        assert global_write.reasons == ("writes global '_SINK'",)
+        assert builtin_id.nondeterministic and "'id'" in builtin_id.reasons[0]
+        assert field_id.pure
+        assert clock.nondeterministic
+
+    def test_scan_memo_is_bounded(self):
+        bound = effects_module.SCAN_CACHE_SIZE
+        assert effects_module._scan_code.cache_parameters()["maxsize"] == bound
+        for i in range(bound + 50):
+            namespace = {}
+            exec(compile(f"fn = lambda r: r.x + {i}", "<memo>", "exec"), namespace)
+            assert analyze_callable(namespace["fn"]).pure
+        assert effects_module._scan_code.cache_info().currsize <= bound
