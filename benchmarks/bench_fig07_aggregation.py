@@ -28,7 +28,7 @@ def test_fig07_aggregation(benchmark, data, provider, engine, selectivity):
     benchmark.pedantic(drain, args=(query,), rounds=3, iterations=1, warmup_rounds=1)
 
 
-def test_fig07_report(benchmark, data, provider, results_dir, bench_recorder):
+def test_fig07_report(benchmark, data, provider, results_dir):
     """One full selectivity sweep; writes results/fig07_aggregation.txt."""
 
     def sweep():
@@ -45,7 +45,6 @@ def test_fig07_report(benchmark, data, provider, results_dir, bench_recorder):
                 drain(query)
                 ms = (time.perf_counter() - started) * 1e3
                 cells.append(ms)
-                bench_recorder.record("fig07_aggregation", engine, selectivity, ms)
             lines.append(
                 f"{selectivity:>11.1f}  " + "  ".join(f"{c:>16.1f}" for c in cells)
             )
@@ -56,14 +55,12 @@ def test_fig07_report(benchmark, data, provider, results_dir, bench_recorder):
 
 
 #: ablation cell: the same aggregation with proof-driven guard elision
-#: enabled vs disabled (REPRO_GUARD_ELISION); linq rides along purely as
-#: the in-run normalizer for the ratio-mode regression gate
-_ELISION_SETTINGS = (("1", "fig07_elision_on"), ("0", "fig07_elision_off"))
+#: enabled vs disabled (REPRO_GUARD_ELISION); linq rides along as the
+#: reference column (it generates no code, so elision cannot move it)
+_ELISION_SETTINGS = (("1", "elision=on"), ("0", "elision=off"))
 
 
-def test_fig07_elision_report(
-    benchmark, data, provider, results_dir, bench_recorder, monkeypatch
-):
+def test_fig07_elision_report(benchmark, data, provider, results_dir, monkeypatch):
     """Guard-elision ablation sweep; writes results/fig07_elision.txt."""
 
     def sweep():
@@ -72,9 +69,8 @@ def test_fig07_elision_report(
             "setting      selectivity  "
             + "  ".join(f"{e:>16s}" for e in ENGINES),
         ]
-        for setting, figure in _ELISION_SETTINGS:
+        for setting, label in _ELISION_SETTINGS:
             monkeypatch.setenv("REPRO_GUARD_ELISION", setting)
-            label = "elision=on" if setting == "1" else "elision=off"
             for selectivity in SPOT_SELECTIVITIES:
                 cells = []
                 for engine in ENGINES:
@@ -89,7 +85,6 @@ def test_fig07_elision_report(
                         times.append((time.perf_counter() - started) * 1e3)
                     ms = statistics.median(times)
                     cells.append(ms)
-                    bench_recorder.record(figure, engine, selectivity, ms)
                 lines.append(
                     f"{label:<11s}  {selectivity:>11.1f}  "
                     + "  ".join(f"{c:>16.1f}" for c in cells)

@@ -33,7 +33,7 @@ def test_fig11_joins(benchmark, data, provider, engine, selectivity):
     benchmark.pedantic(drain, args=(query,), rounds=3, iterations=1, warmup_rounds=1)
 
 
-def test_fig11_report(benchmark, data, provider, results_dir, bench_recorder):
+def test_fig11_report(benchmark, data, provider, results_dir):
     def sweep():
         lines = [
             "Figure 11: join over selections; evaluation time (ms) by selectivity",
@@ -48,7 +48,6 @@ def test_fig11_report(benchmark, data, provider, results_dir, bench_recorder):
                 drain(query)
                 ms = (time.perf_counter() - started) * 1e3
                 cells.append(ms)
-                bench_recorder.record("fig11_joins", engine, selectivity, ms)
             lines.append(
                 f"{selectivity:>11.1f}  " + "  ".join(f"{c:>19.1f}" for c in cells)
             )

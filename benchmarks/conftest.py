@@ -13,13 +13,11 @@ rows, laptop-friendly; the shapes already show clearly there — use 0.01+
 for slower, smoother curves).
 """
 
-import json
 import os
 import pathlib
 
 import pytest
 
-from repro.observability.metrics import METRICS
 from repro.query import QueryProvider
 from repro.tpch import TPCHData
 
@@ -28,78 +26,6 @@ DEFAULT_SCALE = 0.003
 
 def tpch_scale() -> float:
     return float(os.environ.get("REPRO_TPCH_SCALE", DEFAULT_SCALE))
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-json",
-        action="store",
-        default=None,
-        metavar="PATH",
-        help="write the report sweeps' cells to PATH as machine-readable JSON "
-        "(consumed by scripts/check_bench_regression.py)",
-    )
-
-
-class BenchRecorder:
-    """Collects (figure, engine, selectivity, ms) cells from report sweeps."""
-
-    def __init__(self):
-        self.cells = []
-
-    def record(self, figure: str, engine: str, selectivity: float, ms: float) -> None:
-        self.cells.append(
-            {
-                "figure": figure,
-                "engine": engine,
-                "selectivity": selectivity,
-                "ms": round(ms, 4),
-            }
-        )
-
-
-_RECORDER = BenchRecorder()
-
-
-@pytest.fixture(scope="session")
-def bench_recorder():
-    return _RECORDER
-
-
-def _phase_snapshot():
-    """Per-engine codegen/compile phase times accumulated this session.
-
-    The provider records ``compile.<engine>.codegen_seconds`` (emitting the
-    module) and ``compile.<engine>.compile_seconds`` (the whole
-    lower+generate+exec path) histograms; their means go into the bench
-    JSON so ``scripts/check_bench_regression.py`` can gate compile-time
-    regressions alongside execution time.
-    """
-    phases = {}
-    for name, value in METRICS.snapshot().items():
-        if not isinstance(value, dict):
-            continue
-        if name.endswith(".codegen_seconds") or name.endswith(".compile_seconds"):
-            phases[name] = {
-                "count": value["count"],
-                "mean_ms": round(value["mean"] * 1e3, 4),
-            }
-    return phases
-
-
-def pytest_sessionfinish(session, exitstatus):
-    path = session.config.getoption("--bench-json", default=None)
-    if not path or not _RECORDER.cells:
-        return
-    payload = {
-        "scale": tpch_scale(),
-        "cpus": os.cpu_count(),
-        "cells": _RECORDER.cells,
-        "phases": _phase_snapshot(),
-    }
-    out = pathlib.Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 @pytest.fixture(scope="session")

@@ -11,9 +11,9 @@ boundaries privately.
 
 Three shared analyses live here so no backend re-implements them:
 
-* **required fields** — the ``member_usage``-based pass (previously the
-  native backend's private ``_usage_of`` and ``mapping.source_field_usage``)
-  that drives native column pruning and hybrid's implicit projection;
+* **required fields** — the ``member_usage``-based pass
+  (:func:`required_source_fields`) that drives native column pruning and
+  hybrid's implicit projection;
 * **common-subexpression elimination** — per-lambda hoisting of repeated
   subexpressions into ``__cse<N>`` bindings, applied once during lowering
   and inherited by every backend;

@@ -23,9 +23,9 @@ privately, once, in a fixed order:
    paper's "each loop either produces the final result of a query or an
    intermediate result of a blocking operation").
 5. **annotation** — each pipeline gets its required-fields set (the
-   shared field-usage pass of ``ir``), parallel-eligibility (subsuming the old
-   ``plans/validate.parallel_split`` capability logic, which now
-   delegates here) and its morsel-slice point.
+   shared field-usage pass of ``ir``), parallel-eligibility (the
+   :func:`decide_parallel` / :func:`decide_distributed` verdicts) and its
+   morsel-slice point.
 """
 
 from __future__ import annotations
@@ -358,7 +358,7 @@ def _segment(
 # ---------------------------------------------------------------------------
 
 
-def decide_parallel(plan: Plan):
+def decide_parallel(plan: Plan) -> ParallelSplit:
     """Classify *plan* for morsel-driven execution, operator by operator.
 
     The morselized scan is the driver: the leftmost-deepest scan of the
@@ -373,7 +373,7 @@ def decide_parallel(plan: Plan):
     return _decide_split(plan, distributed=False)
 
 
-def decide_distributed(plan: Plan):
+def decide_distributed(plan: Plan) -> ParallelSplit:
     """Classify *plan* for sharded multi-process execution.
 
     Same decomposition as :func:`decide_parallel` — the shard is just a

@@ -3,9 +3,10 @@
 The hybrid engine must copy object data into flat native memory.  Three
 questions decide what the staging code looks like, answered here:
 
-1. **Which fields does the query actually touch?** (`source_field_usage`)
-   Only those are copied — the paper's *implicit projection* driven by the
-   source mapping of Figure 6.
+1. **Which fields does the query actually touch?**
+   (:func:`repro.codegen.ir.required_source_fields`, run by
+   `split_staging`) Only those are copied — the paper's *implicit
+   projection* driven by the source mapping of Figure 6.
 2. **What are their native types?** (`infer_object_schema`) C# answers by
    reflection; Python objects carry no static types, so we sample the
    collection and derive dtypes (string widths are measured over the
@@ -32,7 +33,6 @@ from .ir import required_source_fields, strip_scan_filters
 
 __all__ = [
     "infer_object_schema",
-    "source_field_usage",
     "StagedSource",
     "split_staging",
 ]
@@ -135,20 +135,6 @@ def _kind_of(value: Any, name: str) -> str:
         f"attribute {name!r} of type {type(value).__name__} has no flat "
         f"native representation (the §5/§6 value-type restriction)"
     )
-
-
-# -- which fields of which source does the plan touch? -------------------------
-
-
-def source_field_usage(plan: Plan) -> Dict[int, Optional[Set[str]]]:
-    """Map scan ordinal → fields used above it (None = whole element).
-
-    The per-source *source mapping* of Figure 6: staging copies exactly
-    these fields.  This is the shared required-fields pass of the pipeline
-    IR (:func:`repro.codegen.ir.required_source_fields`); kept here as the
-    schema-facing entry point.
-    """
-    return required_source_fields(plan)
 
 
 # -- staging split ----------------------------------------------------------------

@@ -20,8 +20,7 @@ instrumented layers register:
   path it took (:mod:`~repro.runtime.vectorized`).
 
 Everything exports as a plain dict (:meth:`MetricsRegistry.snapshot`) or
-JSON lines (:meth:`MetricsRegistry.to_json_lines`) — the shapes
-``BENCH_ci.json`` embeds next to the figure medians.
+JSON lines (:meth:`MetricsRegistry.to_json_lines`).
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ Two jobs, both running between the optimizer and the backends:
   predicates produce booleans, aggregate selectors produce summable
   values, sort keys are comparable, limits take integer counts.  Failures
   raise :class:`~repro.errors.QueryAnalysisError` *before* any code is
-  generated.  The per-node output types it returns also feed the native
-  backend's accumulator-dtype selection (int64 vs float64 sums).
+  generated.  The per-node output types it returns also feed
+  :func:`capability_report`'s native checks, which refuse lambdas that
+  handle a whole record as a value.
 
 * :func:`capability_report` answers "can this engine run this plan?" in
   one place, replacing the ad-hoc fragment checks previously scattered
@@ -64,8 +65,6 @@ __all__ = [
     "CapabilityReport",
     "capability_report",
     "ParallelSplit",
-    "parallel_split",
-    "distributed_split",
     "PARALLEL_MERGEABLE_AGGREGATES",
 ]
 
@@ -83,25 +82,9 @@ class PlanTypes:
     result: Type
     scalar: bool
     source_types: Tuple[Type, ...]
-    params: Dict[str, Any]
 
     def output_type(self, plan: Plan) -> Type:
         return self.types.get(id(plan), UNKNOWN)
-
-    def lambda_kind(self, plan: Plan, lam: Lambda) -> str:
-        """Scalar kind of a 1-ary lambda over *plan*'s output elements.
-
-        The hook the native backend uses to pick exact accumulator dtypes:
-        ``'int'`` selectors get int64 sums, ``'float'`` get float64.
-        """
-        elem = self.output_type(plan)
-        try:
-            inferred = infer_expr(
-                lam.body, {lam.params[0]: elem}, self.params
-            )
-        except QueryAnalysisError:
-            return "unknown"
-        return scalar_kind(inferred)
 
 
 def validate_plan(
@@ -122,7 +105,6 @@ def validate_plan(
         result=result,
         scalar=isinstance(plan, ScalarAggregate),
         source_types=tuple(source_types),
-        params=params,
     )
 
 
@@ -531,7 +513,9 @@ PARALLEL_MERGEABLE_AGGREGATES = frozenset({"sum", "count", "min", "max", "avg"})
 
 @dataclass(frozen=True)
 class ParallelSplit:
-    """Decision of the per-operator parallel-safety check.
+    """Decision of the per-operator parallel-safety check
+    (:func:`repro.codegen.lower.decide_parallel` /
+    :func:`~repro.codegen.lower.decide_distributed`).
 
     When ``parallel`` is True the plan decomposes into a morsel kernel
     (``core`` minus any aggregate root) plus ``post_ops`` — the
@@ -549,33 +533,6 @@ class ParallelSplit:
     post_ops: Tuple[Plan, ...] = ()
     morsel_ordinal: int = -1
     reasons: Tuple[str, ...] = ()
-
-
-def parallel_split(plan: Plan) -> ParallelSplit:
-    """Classify *plan* for morsel-driven execution, operator by operator.
-
-    The decision itself lives with the pipeline IR — it is the
-    parallel-eligibility annotation :func:`repro.codegen.lower.lower_plan`
-    attaches to every lowered query — and this function delegates there
-    (lazily, to keep ``plans`` importable without ``codegen``).  See
-    :func:`repro.codegen.lower.decide_parallel` for the rules.
-    """
-    from ..codegen.lower import decide_parallel
-
-    return decide_parallel(plan)
-
-
-def distributed_split(plan: Plan) -> ParallelSplit:
-    """Classify *plan* for sharded multi-process execution.
-
-    Delegates to :func:`repro.codegen.lower.decide_distributed` — the
-    morsel rules plus the broadcast-build allowance for inner joins.
-    Left/outer joins and set operations return ``parallel=False`` with
-    reasons, which ``explain()`` surfaces as the distributed fallback.
-    """
-    from ..codegen.lower import decide_distributed
-
-    return decide_distributed(plan)
 
 
 def _vector_fragment_reasons(

@@ -330,22 +330,9 @@ class Query:
         expr = QueryOp("concat", self.expr, (other_expr,))
         return self._replace(expr=expr, sources=sources, params=params)
 
-    def union(self, other: "Query", all: bool = False) -> "Query":
-        """Set union with duplicate elimination (SQL ``UNION``).
-
-        Historically this method's bag/set behaviour was undocumented; it
-        has always deduplicated and now says so.  ``all=True`` is a
-        deprecated spelling of :meth:`union_all` kept for one release.
-        """
-        if all:
-            import warnings
-
-            warnings.warn(
-                "union(other, all=True) is deprecated; use union_all(other)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self.union_all(other)
+    def union(self, other: "Query") -> "Query":
+        """Set union with duplicate elimination (SQL ``UNION``); the bag
+        union is :meth:`union_all`."""
         return self._binary_setop("union", other)
 
     def union_all(self, other: "Query") -> "Query":

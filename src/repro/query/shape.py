@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 from ..analysis import analyze_ir
 from ..codegen.compiler import CompiledQuery
 from ..codegen.ir import QueryIR
-from ..codegen.lower import lower_plan
+from ..codegen.lower import decide_distributed, decide_parallel, lower_plan
 from ..codegen.verifier import check_facts, check_ir
 from ..errors import DistributedError, UnsupportedQueryError
 from ..expressions.canonical import CanonicalQuery
@@ -31,13 +31,7 @@ from ..options import env
 from ..plans.logical import Plan, plan_to_text
 from ..plans.optimizer import optimize
 from ..plans.translate import translate
-from ..plans.validate import (
-    ParallelSplit,
-    capability_report,
-    distributed_split,
-    parallel_split,
-    validate_plan,
-)
+from ..plans.validate import ParallelSplit, capability_report, validate_plan
 from ..runtime.parallel import build_parallel_query
 
 if TYPE_CHECKING:
@@ -297,7 +291,7 @@ class Shape:
         record = self.record
         split = record.splits.get(kind)
         if split is None:
-            decide = distributed_split if kind == "processes" else parallel_split
+            decide = decide_distributed if kind == "processes" else decide_parallel
             split = record.splits[kind] = decide(self.plan())
         return split
 

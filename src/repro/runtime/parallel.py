@@ -25,7 +25,7 @@ merge deterministically in morsel order:
 
 Order-sensitive root operators (sort / top-n / limit / distinct) are
 peeled off before the kernel is built (see
-:func:`~repro.plans.validate.parallel_split`) and re-applied managed-side
+:func:`~repro.codegen.lower.decide_parallel`) and re-applied managed-side
 on the merged rows with stable, engine-equivalent semantics.
 
 Results are bit-identical to sequential execution for any worker count

@@ -24,7 +24,7 @@ no thread hop, exactly the pre-service behaviour.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from ..errors import QueryCancelled, QueryTimeoutError
 from ..observability.metrics import METRICS
@@ -144,15 +144,3 @@ class QueryExecutor:
         except QueryCancelled:
             METRICS.counter("service.cancelled").add()
             raise
-
-
-def iter_with_checks(
-    iterator: Iterator[Any],
-    token: CancellationToken,
-    stride: int = DRAIN_CHECK_STRIDE,
-) -> Iterator[Any]:
-    """Lazy variant of :func:`drain` for callers that stream results."""
-    for i, row in enumerate(iterator):
-        if not i % stride:
-            token.check()
-        yield row

@@ -6,10 +6,10 @@ from types import SimpleNamespace
 import pytest
 
 from repro.codegen.hybrid_backend import HybridBackend, _enc_str, _find_stream_target
+from repro.codegen.ir import required_source_fields
 from repro.codegen.mapping import (
     StagedSource,
     infer_object_schema,
-    source_field_usage,
     split_staging,
     staged_schema_for,
 )
@@ -83,14 +83,14 @@ class TestSchemaInference:
 class TestSourceFieldUsage:
     def test_project_narrows(self):
         plan = Project(SCAN, trace_lambda(lambda s: s.a + s.b))
-        assert source_field_usage(plan) == {0: {"a", "b"}}
+        assert required_source_fields(plan) == {0: {"a", "b"}}
 
     def test_filter_adds_predicate_fields(self):
         plan = Project(
             Filter(SCAN, trace_lambda(lambda s: s.c > 1)),
             trace_lambda(lambda s: s.a),
         )
-        assert source_field_usage(plan)[0] == {"a", "c"}
+        assert required_source_fields(plan)[0] == {"a", "c"}
 
     def test_join_separates_sides(self):
         plan = Join(
@@ -100,13 +100,13 @@ class TestSourceFieldUsage:
             trace_lambda(lambda r: r.rk),
             trace_lambda(lambda l, r: new(x=l.a, y=r.b)),
         )
-        usage = source_field_usage(plan)
+        usage = required_source_fields(plan)
         assert usage[0] == {"lk", "a"}
         assert usage[1] == {"rk", "b"}
 
     def test_whole_element_use_is_none(self):
         plan = Project(SCAN, trace_lambda(lambda s: s))
-        assert source_field_usage(plan)[0] is None
+        assert required_source_fields(plan)[0] is None
 
     def test_aggregates_contribute(self):
         plan = ScalarAggregate(
@@ -114,7 +114,7 @@ class TestSourceFieldUsage:
             (AggregateSpec("sum", trace_lambda(lambda s: s.v * s.w)),),
             Var("__agg0"),
         )
-        assert source_field_usage(plan)[0] == {"v", "w"}
+        assert required_source_fields(plan)[0] == {"v", "w"}
 
 
 class TestSplitStaging:

@@ -269,21 +269,11 @@ class TestConcatUnion:
         assert distinct == [1, 2, 3]
         assert bag == [1, 1, 2, 1, 3]
 
-    def test_union_all_true_kwarg_deprecated(self):
+    def test_union_rejects_all_flag(self):
         a = from_iterable([1, 2], token="t:uka")
         b = from_iterable([2, 3], token="t:ukb")
-        with pytest.warns(DeprecationWarning, match="union_all"):
-            got = a.union(b, all=True).to_list()
-        assert got == [1, 2, 2, 3]
-
-    def test_union_default_emits_no_warning(self):
-        import warnings
-
-        a = from_iterable([1, 2], token="t:uwa")
-        b = from_iterable([2, 3], token="t:uwb")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert a.union(b).to_list() == [1, 2, 3]
+        with pytest.raises(TypeError):
+            a.union(b, all=True)
 
     def test_intersect_and_except_bag_counts(self):
         a = from_iterable([1, 1, 2, 3, 3, 3], token="t:iba")
