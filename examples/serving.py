@@ -9,9 +9,10 @@ the per-request overhead and adds workload management:
 
 * **ad-hoc**: every ``session.execute`` walks canonicalize →
   cache-lookup → execute (the lookup hits, but it still runs);
-* **prepared**: ``session.prepare`` pays the whole Figure-3 pipeline
-  once, and every ``bind(...).execute()`` jumps straight to the
-  generated code — ``compile.<engine>.count`` moves exactly once;
+* **prepared**: ``session.prepare`` canonicalizes and compiles once and
+  holds the query's shape, so every ``bind(...).execute()`` skips both
+  and runs the provider's one execution path on it —
+  ``compile.<engine>.count`` moves exactly once;
 * every execution passes through admission control and can carry a
   deadline that cancels it cooperatively.
 """

@@ -830,8 +830,8 @@ class _MinEmitter:
             self._emit_join_min(node, post_ops)
         else:
             raise UnsupportedQueryError(
-                "Min staging only supports a single sort/top-N or join as "
-                "the native operation (the paper's §7.4 restriction); use "
+                "Min staging only supports a single sort/top-N or inner join "
+                "as the native operation (the paper's §7.4 restriction); use "
                 "the Max variant for complex queries"
             )
 
@@ -909,6 +909,13 @@ class _MinEmitter:
 
     def _emit_join_matches(self, node: Join, consume) -> None:
         """Stage both sides, run the native join kernel, loop the matches."""
+        if node.kind != "inner":
+            # the kernel reports matching pairs only: no unmatched-row
+            # defaults (left) and no existence tests (semi / anti)
+            raise UnsupportedQueryError(
+                f"Min staging only supports inner joins, not {node.kind} "
+                f"joins; use the Max variant"
+            )
         left_objs = self._materialize_min(node.left)
         right_objs = self._materialize_min(node.right)
         larr = self._key_array(left_objs, node.left_key)

@@ -176,7 +176,7 @@ def materialize(shard: TableShard) -> StructArray:
     array._state = (shard.raw, len(shard.raw), shard.version)
     array._frozen = True
     if shard.clustering:
-        array._clustered_by = shard.clustering
+        array._cluster_field = shard.clustering
         array._clustered_version = shard.version
     for name in shard.index_fields:
         array.create_index(name)

@@ -1,15 +1,18 @@
 """EXPLAIN and EXPLAIN ANALYZE for the query lifecycle.
 
 ``Query.explain()`` answers *what would run*: the optimized logical plan,
-the chosen engine, its capability verdict (with the fallback reasons from
-:mod:`repro.plans.validate`), and the morsel-parallelism decision.
+the chosen engine, its capability verdict — the compiler's own, with its
+refusal as the reason — and the tier :meth:`QueryProvider.tier
+<repro.query.provider.QueryProvider.tier>` resolves, with the refusal
+that kept the query below a tier it asked for.
 
 ``Query.explain_analyze()`` answers *what actually ran*: the same tree
 annotated with measured per-phase wall times (captured through
 :mod:`repro.observability.tracer`), the result row count, the
 compiled-code cache status, and — under parallel execution — the morsel
-dispatch/merge accounting.  The query **is executed** to produce it,
-exactly like SQL's ``EXPLAIN ANALYZE``.
+dispatch/merge accounting, or the fallback reason the executed
+``query.execute`` span carries.  The query **is executed** to produce
+it, exactly like SQL's ``EXPLAIN ANALYZE``.
 
 The first line of both outputs is the plan root, preserving the
 pre-observability ``explain()`` contract (callers that slice
@@ -25,7 +28,7 @@ from ..codegen.lower import hybrid_placements
 from ..errors import UnsupportedQueryError
 from ..options import NO_OPTIONS, ExecutionOptions, env
 from ..plans.logical import plan_to_text
-from ..plans.validate import capability_report, validate_plan
+from ..query.provider import LINQ_PLAN, Tier
 from .metrics import METRICS
 from .tracer import TRACER, SpanRecord
 
@@ -37,7 +40,11 @@ __all__ = [
     "explain_analyze",
 ]
 
-_LINQ_PLAN = "(linq engine: interpreted operator chain, no plan)"
+#: the parallel line when no thread workers were asked for
+_NO_WORKERS = (
+    "sequential (workers=1; request workers with in_parallel(n), "
+    "using(parallelism=n) or REPRO_PARALLELISM)"
+)
 
 #: canonical lifecycle ordering for the phase table; unknown span names
 #: sort after these, by first appearance
@@ -82,52 +89,12 @@ class PhaseStat:
         self.seconds += record.duration
 
 
-def _parallel_verdict(shape: Any, engine: str, workers: int) -> str:
-    from ..query.provider import PARALLEL_ENGINES
-
-    if workers < 2:
-        return (
-            "sequential (workers=1; request workers with in_parallel(n), "
-            "using(parallelism=n) or REPRO_PARALLELISM)"
-        )
-    if engine not in PARALLEL_ENGINES:
-        return f"sequential (engine {engine!r} emits no morsel kernels)"
-    split = shape.split("threads")
-    if split.parallel:
-        return (
-            f"eligible (mode={split.mode}, driver=source "
-            f"{split.morsel_ordinal}, workers={workers})"
-        )
-    reason = split.reasons[0] if split.reasons else "outside the parallel fragment"
-    return f"sequential — {reason}"
-
-
-def _distributed_verdict(shape: Any, engine: str, workers: int) -> str:
-    """The multi-process decision — empty (line omitted) when nobody
-    asked for distribution, so pre-distribution reports stay byte-exact."""
-    from ..query.provider import PARALLEL_ENGINES
-    from ..storage.struct_array import StructArray
-
-    if workers < 2:
-        return ""
-    if engine not in PARALLEL_ENGINES:
-        return f"in-process (engine {engine!r} emits no broadcastable kernels)"
-    sources = shape.sources
-    if not sources or not all(isinstance(s, StructArray) for s in sources):
-        return (
-            "in-process (sources are not all StructArrays; "
-            "shards own column buffers)"
-        )
-    split = shape.split("processes")
-    if split.parallel:
-        return (
-            f"eligible (mode={split.mode}, driver=source "
-            f"{split.morsel_ordinal}, workers={workers})"
-        )
-    reason = (
-        split.reasons[0] if split.reasons else "outside the distributable fragment"
+def _eligible(tier: Tier) -> str:
+    artifact = tier.artifact
+    return (
+        f"eligible (mode={artifact.mode}, driver=source "
+        f"{artifact.morsel_ordinal}, workers={tier.workers})"
     )
-    return f"in-process — {reason}"
 
 
 def _pipeline_section(
@@ -209,36 +176,64 @@ def explain_report(
     expr: Any,
     sources: List[Any],
     engine: str,
+    params: Dict[str, Any],
     options: ExecutionOptions = NO_OPTIONS,
 ) -> ExplainReport:
-    """Build the static EXPLAIN report for one query/engine pairing."""
+    """Build the static EXPLAIN report for one query/engine pairing.
+
+    Compiles the engine's sequential artifact (a cached one is reused)
+    and asks :meth:`~repro.query.provider.QueryProvider.tier` about each
+    tier requested, one at a time, so each line carries its own refusal.
+    """
     if engine == "linq":
         return ExplainReport(
             engine="linq",
-            plan_text=_LINQ_PLAN,
+            plan_text=LINQ_PLAN,
             supported=True,
             parallel="sequential (the interpreted baseline never parallelizes)",
         )
     shape = provider.shape(expr, sources)
-    plan = shape.plan()
-    plan_types = validate_plan(
-        plan, shape.analysis().source_types, params=shape.bindings
-    )
-    report = capability_report(plan, engine, sources, plan_types)
+    try:
+        shape.compiled(engine)
+        refusal = ""
+    except UnsupportedQueryError as exc:
+        refusal = str(exc)
     pipelines, facts = _pipeline_section(shape, engine)
     options = options.resolved()
     # EXPLAIN is a dry run: the decision is peeked, never explored
     decision = provider.peek_decision(shape, engine, options.adaptive)
+    parallel = distributed = ""
+    if not refusal:  # a plan the engine refuses runs on no tier at all
+        merged = {**shape.bindings, **params}
+        parallel = _NO_WORKERS
+        if options.parallelism >= 2:
+            tier = provider.tier(
+                shape, engine, merged, options._replace(distributed=0)
+            )
+            parallel = (
+                _eligible(tier)
+                if tier.kind == "threads"
+                else f"sequential — {tier.reason}"
+            )
+        if options.distributed >= 2:
+            tier = provider.tier(
+                shape, engine, merged, options._replace(parallelism=1)
+            )
+            distributed = (
+                _eligible(tier)
+                if tier.kind == "processes"
+                else f"in-process — {tier.reason}"
+            )
     return ExplainReport(
         engine=engine,
-        plan_text=plan_to_text(plan),
-        supported=report.supported,
-        capability_reasons=tuple(report.reasons),
+        plan_text=plan_to_text(shape.plan()),
+        supported=not refusal,
+        capability_reasons=(refusal,) if refusal else (),
         pipelines=pipelines,
         facts=facts,
-        parallel=_parallel_verdict(shape, engine, options.parallelism),
+        parallel=parallel,
         adaptive=decision.describe() if decision is not None else "",
-        distributed=_distributed_verdict(shape, engine, options.distributed),
+        distributed=distributed,
     )
 
 
@@ -366,46 +361,47 @@ def explain_analyze(
     phases = _fold_phases(spans)
 
     cache = "n/a (linq never compiles)" if engine == "linq" else "miss"
-    adaptive_line = ""
-    recycle = ""
+    adaptive_line = recycle = parallel = distributed_line = fallback = ""
     for record in spans:
+        attrs = record.attrs
         if record.name == "query.cache_lookup":
-            cache = "hit" if record.attrs.get("hit") else "miss"
+            cache = "hit" if attrs.get("hit") else "miss"
         elif record.name == "query.decide":
-            adaptive_line = record.attrs.get("decision", "")
+            adaptive_line = attrs.get("decision", "")
         elif record.name == "query.recycle":
-            mode = record.attrs.get("mode", "")
-            reason = record.attrs.get("reason", "")
+            mode = attrs.get("mode", "")
+            reason = attrs.get("reason", "")
             recycle = f"{mode} — {reason}" if reason else mode
+        elif record.name == "query.execute":
+            fallback = attrs.get("fallback", fallback)
+        elif record.name == "parallel.execute":
+            parallel = (
+                f"{attrs.get('workers', '?')} workers x "
+                f"{attrs.get('morsels', '?')} morsels "
+                f"(mode={attrs.get('mode', '?')})"
+            )
+        elif record.name == "dist.execute":
+            distributed_line = (
+                f"{attrs.get('workers', '?')} worker processes x "
+                f"{attrs.get('grant', '?')} shards "
+                f"(mode={attrs.get('mode', '?')})"
+            )
     morsels = sum(1 for r in spans if r.name == "parallel.morsel")
 
     if engine == "linq":
-        plan_text = _LINQ_PLAN
-        parallel = ""
-        distributed_line = ""
+        plan_text = LINQ_PLAN
     else:
-        shape = provider.shape(expr, sources)
-        plan_text = plan_to_text(shape.plan())
-        parallel = ""
-        distributed_line = ""
-        for record in spans:
-            if record.name == "parallel.execute":
-                parallel = (
-                    f"{record.attrs.get('workers', '?')} workers x "
-                    f"{record.attrs.get('morsels', '?')} morsels "
-                    f"(mode={record.attrs.get('mode', '?')})"
-                )
-            elif record.name == "dist.execute":
-                distributed_line = (
-                    f"{record.attrs.get('workers', '?')} worker processes x "
-                    f"{record.attrs.get('grant', '?')} shards "
-                    f"(mode={record.attrs.get('mode', '?')})"
-                )
+        plan_text = plan_to_text(provider.shape(expr, sources).plan())
+        # a tier that was asked for and did not run says why not
         options = options.resolved()
+        why = f" — {fallback}" if fallback else ""
         if not parallel:
-            parallel = _parallel_verdict(shape, engine, options.parallelism)
-        if not distributed_line:
-            distributed_line = _distributed_verdict(shape, engine, options.distributed)
+            if options.parallelism < 2:
+                parallel = _NO_WORKERS
+            elif not distributed_line:
+                parallel = "sequential" + why
+        if not distributed_line and options.distributed >= 2:
+            distributed_line = "in-process" + why
 
     return ExplainAnalysis(
         engine=engine,

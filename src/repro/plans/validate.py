@@ -3,13 +3,13 @@
 Two jobs, both running between the optimizer and the backends:
 
 * :func:`validate_plan` threads element types through every logical
-  operator (Scan → … → TopN), checking each operator's preconditions —
-  predicates produce booleans, aggregate selectors produce summable
-  values, sort keys are comparable, limits take integer counts.  Failures
-  raise :class:`~repro.errors.QueryAnalysisError` *before* any code is
-  generated.  The per-node output types it returns also feed
-  :func:`capability_report`'s native checks, which refuse lambdas that
-  handle a whole record as a value.
+  operator (Scan → … → TopN).  It re-proves nothing: the operator
+  preconditions (boolean predicates, summable aggregate values,
+  comparable sort keys, integer counts, matching join keys and set-op
+  shapes) are :mod:`repro.expressions.typing`'s, checked on the same
+  canonical tree before any plan exists.  The per-node output types it
+  returns feed :func:`capability_report`'s native checks, which refuse
+  lambdas that handle a whole record as a value.
 
 * :func:`capability_report` answers "can this engine run this plan?" in
   one place, replacing the ad-hoc fragment checks previously scattered
@@ -92,11 +92,8 @@ def validate_plan(
     source_types: Sequence[Type] = (),
     params: Optional[Dict[str, Any]] = None,
 ) -> PlanTypes:
-    """Thread element types through *plan*, checking operator preconditions.
-
-    Raises :class:`~repro.errors.QueryAnalysisError` on definite errors;
-    unknown types flow through silently (never a false rejection).
-    """
+    """Thread element types through *plan*; unknown types flow through
+    as :data:`~repro.expressions.typing.UNKNOWN`."""
     params = dict(params or {})
     types: Dict[int, Type] = {}
     result = _thread(plan, tuple(source_types), params, types)
@@ -105,16 +102,6 @@ def validate_plan(
         result=result,
         scalar=isinstance(plan, ScalarAggregate),
         source_types=tuple(source_types),
-    )
-
-
-def _fail(message: str, node: Expr, plan: Plan) -> None:
-    from ..expressions.printer import expression_to_text
-
-    path = f"plan.{type(plan).__name__}"
-    rendered = expression_to_text(node, indent=1)
-    raise QueryAnalysisError(
-        f"{message}\n  at {path}:\n{rendered}", path=path, expression=node
     )
 
 
@@ -145,19 +132,8 @@ def _thread_node(
             if known is not UNKNOWN:
                 return known
         return type_from_token(plan.schema_token)
-    if isinstance(plan, Filter):
-        elem = _thread(plan.child, source_types, params, types)
-        (var,) = plan.predicate.params
-        pred = _value(plan.predicate.body, {var: elem}, params)
-        if scalar_kind(pred) in ("str", "date") or isinstance(
-            pred, (RecordType, GroupType, SequenceType)
-        ):
-            _fail(
-                f"filter predicate must produce a boolean, got {pred}",
-                plan.predicate.body,
-                plan,
-            )
-        return elem
+    if isinstance(plan, (Filter, Sort, TopN, Limit, Distinct)):
+        return _thread(plan.child, source_types, params, types)
     if isinstance(plan, Project):
         elem = _thread(plan.child, source_types, params, types)
         (var,) = plan.selector.params
@@ -166,12 +142,6 @@ def _thread_node(
         elem = _thread(plan.child, source_types, params, types)
         (var,) = plan.collection.params
         coll = _value(plan.collection.body, {var: elem}, params)
-        if isinstance(coll, (ScalarType, GroupType)):
-            _fail(
-                f"select_many requires a sequence-valued selector, got {coll}",
-                plan.collection.body,
-                plan,
-            )
         inner = coll.element if isinstance(coll, SequenceType) else UNKNOWN
         if plan.result is not None:
             outer_var, inner_var = plan.result.params
@@ -182,28 +152,9 @@ def _thread_node(
     if isinstance(plan, Join):
         left = _thread(plan.left, source_types, params, types)
         right = _thread(plan.right, source_types, params, types)
-        lk = _value(plan.left_key.body, {plan.left_key.params[0]: left}, params)
-        rk = _value(
-            plan.right_key.body, {plan.right_key.params[0]: right}, params
-        )
-        _check_join_keys(lk, rk, plan)
         if plan.kind in ("semi", "anti"):
             # existence joins pass the probe element through unchanged
             return left
-        if plan.kind == "left":
-            default_type = _value(plan.default, {}, params)
-            if (
-                isinstance(right, RecordType)
-                and isinstance(default_type, RecordType)
-                and set(default_type.field_names) - set(right.field_names)
-            ):
-                extra = set(default_type.field_names) - set(right.field_names)
-                _fail(
-                    f"left join default has fields not in the build element: "
-                    f"{', '.join(sorted(extra))}",
-                    plan.default,
-                    plan,
-                )
         lvar, rvar = plan.result.params
         return _value(plan.result.body, {lvar: left, rvar: right}, params)
     if isinstance(plan, GroupBy):
@@ -217,62 +168,18 @@ def _thread_node(
         key = _value(plan.key.body, {var: elem}, params)
         env: Dict[str, Type] = {"__key": key}
         for i, spec in enumerate(plan.aggregates):
-            env[f"__agg{i}"] = _aggregate_type(spec, elem, params, plan)
+            env[f"__agg{i}"] = _aggregate_type(spec, elem, params)
         return _value(plan.output, env, params)
     if isinstance(plan, ScalarAggregate):
         elem = _thread(plan.child, source_types, params, types)
         env = {
-            f"__agg{i}": _aggregate_type(spec, elem, params, plan)
+            f"__agg{i}": _aggregate_type(spec, elem, params)
             for i, spec in enumerate(plan.aggregates)
         }
         return _value(plan.output, env, params)
-    if isinstance(plan, (Sort, TopN)):
-        elem = _thread(plan.child, source_types, params, types)
-        for key in plan.keys:
-            (var,) = key.params
-            key_type = _value(key.body, {var: elem}, params)
-            if isinstance(key_type, (GroupType, SequenceType)):
-                _fail(
-                    f"ordering key must be a comparable value, got {key_type}",
-                    key.body,
-                    plan,
-                )
-        if isinstance(plan, TopN):
-            _check_count(plan.count, params, plan)
-        return elem
-    if isinstance(plan, Limit):
-        elem = _thread(plan.child, source_types, params, types)
-        for bound in (plan.count, plan.offset):
-            if bound is not None:
-                _check_count(bound, params, plan)
-        return elem
-    if isinstance(plan, Distinct):
-        return _thread(plan.child, source_types, params, types)
-    if isinstance(plan, Concat):
+    if isinstance(plan, (Concat, SetOp)):
         left = _thread(plan.left, source_types, params, types)
         right = _thread(plan.right, source_types, params, types)
-        if (
-            isinstance(left, RecordType)
-            and isinstance(right, RecordType)
-            and set(left.field_names) != set(right.field_names)
-        ):
-            raise QueryAnalysisError(
-                f"concat of mismatched record shapes: {left} vs {right}",
-                path="plan.Concat",
-            )
-        return left if left is not UNKNOWN else right
-    if isinstance(plan, SetOp):
-        left = _thread(plan.left, source_types, params, types)
-        right = _thread(plan.right, source_types, params, types)
-        if (
-            isinstance(left, RecordType)
-            and isinstance(right, RecordType)
-            and set(left.field_names) != set(right.field_names)
-        ):
-            raise QueryAnalysisError(
-                f"{plan.op} of mismatched record shapes: {left} vs {right}",
-                path="plan.SetOp",
-            )
         return left if left is not UNKNOWN else right
     # unknown plan node kinds flow through untyped
     for child in plan_children(plan):
@@ -280,23 +187,12 @@ def _thread_node(
     return UNKNOWN
 
 
-def _aggregate_type(
-    spec, elem: Type, params: Dict[str, Any], plan: Plan
-) -> Type:
+def _aggregate_type(spec, elem: Type, params: Dict[str, Any]) -> Type:
     if spec.selector is None:  # count
         return ScalarType("int")
     (var,) = spec.selector.params
     value = _value(spec.selector.body, {var: elem}, params)
     value_kind = scalar_kind(value)
-    if spec.kind in ("sum", "avg") and (
-        value_kind in ("str", "date")
-        or isinstance(value, (RecordType, GroupType, SequenceType))
-    ):
-        _fail(
-            f"cannot {spec.kind} values of type {value}",
-            spec.selector.body,
-            plan,
-        )
     if spec.kind == "avg":
         return ScalarType("float")
     if spec.kind == "sum":
@@ -306,28 +202,6 @@ def _aggregate_type(
             return ScalarType("float")
         return UNKNOWN
     return value
-
-
-def _check_join_keys(left: Type, right: Type, plan: Plan) -> None:
-    families = {
-        "int": "numeric", "int32": "numeric", "float": "numeric",
-        "bool": "numeric", "str": "str", "date": "date",
-    }
-    lf = families.get(scalar_kind(left))
-    rf = families.get(scalar_kind(right))
-    if lf is not None and rf is not None and lf != rf:
-        raise QueryAnalysisError(
-            f"join keys have incompatible types: {left} vs {right}",
-            path="plan.Join",
-        )
-
-
-def _check_count(expr: Expr, params: Dict[str, Any], plan: Plan) -> None:
-    count = _value(expr, {}, params)
-    if count is not UNKNOWN and scalar_kind(count) not in (
-        "int", "int32", "unknown",
-    ):
-        _fail(f"take/skip requires an integer count, got {count}", expr, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +346,7 @@ def _min_reasons(plan: Plan) -> List[str]:
             node = node.child
         else:
             break
-    if not isinstance(node, (Sort, TopN, Join)) or (
-        isinstance(node, Join) and node.kind != "inner"
-    ):
+    if not isinstance(node, (Sort, TopN, Join)):
         return [
             "Min staging only supports a single sort/top-N or inner join as "
             "the native operation (the paper's §7.4 restriction); use "
@@ -498,7 +370,7 @@ def _min_subtree_ok(node: Plan) -> bool:
         node = node.child
     if isinstance(node, Scan):
         return True
-    if isinstance(node, Join) and node.kind == "inner":
+    if isinstance(node, Join):
         return _min_subtree_ok(node.left) and _min_subtree_ok(node.right)
     return False
 

@@ -53,8 +53,12 @@ __all__ = [
     "default_provider",
     "pin_sources",
     "ENGINES",
+    "LINQ_PLAN",
     "PARALLEL_ENGINES",
 ]
+
+#: what the interpreted baseline shows where the other engines show a plan
+LINQ_PLAN = "(linq engine: interpreted operator chain, no plan)"
 
 
 class Tier(NamedTuple):
@@ -65,6 +69,9 @@ class Tier(NamedTuple):
     artifact: Any = None
     workers: int = 1
     morsel: int = 0
+    #: why the execution runs below a tier its options asked for ("" when
+    #: it does not); one refusal per tier refused, processes first
+    reason: str = ""
 
 
 #: the ``query.execute`` span attribute marking a non-inline tier
@@ -122,9 +129,14 @@ class QueryProvider:
         engine: str,
         params: Dict[str, Any],
         options: ExecutionOptions = NO_OPTIONS,
+        shape: Optional[Shape] = None,
     ) -> Iterator[Any]:
-        """Run *expr* and return a lazy iterator over its results."""
-        return iter(self._run(expr, sources, engine, params, False, options))
+        """Run *expr* and return a lazy iterator over its results.
+
+        *shape*, a handle from :meth:`shape` on the same *expr*, skips
+        canonicalization while the sources keep the physical design it
+        was derived for — a prepared statement holds one."""
+        return iter(self._run(expr, sources, engine, params, False, options, shape))
 
     def execute_scalar(
         self,
@@ -133,14 +145,15 @@ class QueryProvider:
         engine: str,
         params: Dict[str, Any],
         options: ExecutionOptions = NO_OPTIONS,
+        shape: Optional[Shape] = None,
     ) -> Any:
         """Run a terminal aggregate and return its single value."""
-        return self._run(expr, sources, engine, params, True, options)
+        return self._run(expr, sources, engine, params, True, options, shape)
 
     def explain(self, expr: Expr, engine: str) -> str:
         """The optimized logical plan, as indented text."""
         if engine == "linq":
-            return "(linq engine: interpreted operator chain, no plan)"
+            return LINQ_PLAN
         return plan_to_text(self.shape(expr, []).plan())
 
     def compile_info(
@@ -159,13 +172,16 @@ class QueryProvider:
         params: Dict[str, Any],
         scalar: bool,
         options: ExecutionOptions,
+        shape: Optional[Shape],
     ) -> Any:
         """Execute one query — every entry point passes through here —
         under its per-query trace override, if it has one."""
         if options.trace is None:
-            return self._execute(expr, sources, engine, params, scalar, options)
+            return self._execute(expr, sources, engine, params, scalar, options, shape)
         with TRACER.scope(options.trace):
-            result = self._execute(expr, sources, engine, params, scalar, options)
+            result = self._execute(
+                expr, sources, engine, params, scalar, options, shape
+            )
             # the override must cover the drain, not just the dispatch
             # (a lazy result records its execute span at exhaustion)
             return result if scalar else list(result)
@@ -184,8 +200,7 @@ class QueryProvider:
         stream out of the inline sequential artifact, a list when a tier
         merged them)."""
         sources = pin_sources(sources)
-        if shape is None:
-            shape = self.shape(expr, sources)
+        shape = self._current(expr, sources, shape)
         if engine == "linq":
             # the interpreted baseline skips codegen but not analysis: an
             # ill-typed query fails the same way on every engine (its
@@ -233,12 +248,17 @@ class QueryProvider:
                 else "this query is a scalar aggregate; use the terminal method"
             )
         merged = {**shape.bindings, **params}
-        tier = self.tier(shape, run_engine, scalar, merged, options)
+        tier = self.tier(shape, run_engine, merged, options)
+        flags: Dict[str, Any] = {"scalar": True} if scalar else {}
+        if tier.kind != "inline":
+            flags[_TIER_SPAN_FLAG[tier.kind]] = True
+        if tier.reason:
+            flags["fallback"] = tier.reason
         started = time.perf_counter()
         if tier.kind == "inline" and not scalar:
             iterator = iter(compiled.execute(sources, merged))
             if TRACER.active:
-                iterator = traced_rows(TRACER, iterator, engine=run_engine)
+                iterator = traced_rows(TRACER, iterator, engine=run_engine, **flags)
             if controller is not None:
                 # wall time and cardinality land in the profile when the
                 # caller exhausts (or abandons) the lazy result
@@ -252,9 +272,6 @@ class QueryProvider:
                     started,
                 )
             return iterator
-        flags: Dict[str, Any] = {"scalar": True} if scalar else {}
-        if tier.kind != "inline":
-            flags[_TIER_SPAN_FLAG[tier.kind]] = True
         with TRACER.span("query.execute", engine=run_engine, **flags) as span:
             if tier.kind == "inline":
                 result = compiled.execute(sources, merged)
@@ -284,11 +301,21 @@ class QueryProvider:
             )
         return result
 
+    def _current(
+        self, expr: Expr, pinned: List[Any], held: Optional[Shape]
+    ) -> Shape:
+        """The shape an execution over the *pinned* sources runs: *held*
+        (a prepared statement's) unless the sources' physical design moved
+        since it was derived — an index created, clustering gone stale by
+        appends — which its artifacts were specialised for."""
+        if held is not None and held.record.key[2] == _source_signature(pinned):
+            return held
+        return self.shape(expr, pinned)
+
     def tier(
         self,
         shape: Shape,
         engine: str,
-        scalar: bool,
         params: Dict[str, Any],
         options: ExecutionOptions,
     ) -> Tier:
@@ -297,39 +324,52 @@ class QueryProvider:
         processes(n) when worker processes were asked for and the shape
         distributes, else threads(n, morsel) when workers were asked for
         and the shape splits into morsels, else inline.  Every refusal
-        downgrades to the next tier rather than erroring: asking for
-        workers never makes a supported query fail.  *options* are
+        downgrades to the next tier rather than erroring — asking for
+        workers never makes a supported query fail — and is named on
+        :attr:`Tier.reason`.  Call after ``shape.compiled(engine)``
+        succeeded; *params* are the merged bindings, *options*
         :meth:`~repro.options.ExecutionOptions.resolved`.
         """
         sources = shape.sources
-        # shards own column buffers, so every source must be a
-        # StructArray, and parameters must survive the process boundary
-        if (
-            options.distributed >= 2
-            and sources
-            and all(isinstance(s, StructArray) for s in sources)
-        ):
-            artifact = shape.partial(engine, "processes")
-            if artifact is not None and artifact.scalar == scalar:
-                from ..distributed import wire
+        refusals = []
+        if options.distributed >= 2:
+            # shards own column buffers, so every source must be a
+            # StructArray, and parameters must survive the process boundary
+            if not sources or not all(isinstance(s, StructArray) for s in sources):
+                refusals.append(
+                    "sources are not all StructArrays; shards own column buffers"
+                )
+            else:
+                artifact = shape.partial(engine, "processes")
+                if artifact is None:
+                    refusals.append(shape.refusal(engine, "processes"))
+                else:
+                    from ..distributed import wire
 
-                try:
-                    wire.encode_params(params)
-                    return Tier("processes", artifact, options.distributed)
-                except wire.UnshippableError:
-                    METRICS.counter("dist.fallbacks").add()
+                    try:
+                        wire.encode_params(params)
+                        return Tier("processes", artifact, options.distributed)
+                    except wire.UnshippableError as exc:
+                        METRICS.counter("dist.fallbacks").add()
+                        refusals.append(str(exc))
         if options.parallelism >= 2:
             artifact = shape.partial(engine, "threads")
-            if (
-                artifact is not None
-                and artifact.scalar == scalar
-                # an unsized driver cannot be partitioned
-                and source_length(sources[artifact.morsel_ordinal]) is not None
-            ):
-                return Tier(
-                    "threads", artifact, options.parallelism, options.morsel_size
+            if artifact is None:
+                refusals.append(shape.refusal(engine, "threads"))
+            elif source_length(sources[artifact.morsel_ordinal]) is None:
+                refusals.append(
+                    f"driver source {artifact.morsel_ordinal} has no length "
+                    f"to cut into morsels"
                 )
-        return Tier("inline")
+            else:
+                return Tier(
+                    "threads",
+                    artifact,
+                    options.parallelism,
+                    options.morsel_size,
+                    "; ".join(refusals),
+                )
+        return Tier("inline", reason="; ".join(refusals))
 
     # -- adaptive execution (profile-driven engine/tier choice) -------------------
 
@@ -474,15 +514,8 @@ def _source_signature(sources: List[Any]) -> tuple:
     signature = []
     for source in sources:
         index_fields = getattr(source, "index_fields", None)
-        if callable(index_fields):
-            names = index_fields()
-        else:
-            indexes = getattr(source, "_index_store", None)
-            names = tuple(sorted(indexes)) if indexes else ()
-        clustering = getattr(source, "clustering", None)
-        if clustering is None:
-            clustering = getattr(source, "clustered_by", None)
-        signature.append((names, clustering))
+        names = index_fields() if index_fields is not None else ()
+        signature.append((names, getattr(source, "clustering", None)))
     return tuple(signature)
 
 

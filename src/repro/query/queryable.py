@@ -370,13 +370,19 @@ class Query:
 
     def explain(self) -> str:
         """What *would* run: the optimized logical plan, the chosen
-        engine, its capability verdict (with fallback reasons), and the
-        morsel-parallelism decision.  The first line is the plan root.
+        engine, its capability verdict (compiling, if the artifact is not
+        cached yet), and the tier decision with its fallback reasons.
+        The first line is the plan root.
         """
         from ..observability.explain import explain_report
 
         return explain_report(
-            self.provider, self.expr, list(self.sources), self.engine, self.options
+            self.provider,
+            self.expr,
+            list(self.sources),
+            self.engine,
+            self.params,
+            self.options,
         ).render()
 
     def explain_analyze(self) -> Any:

@@ -36,9 +36,6 @@ changes neither the length nor the version, so cached results go stale
 silently — call :meth:`RecyclingProvider.invalidate` after any mutation
 that bypasses the sanctioned ``append_rows`` / ``append_objects`` API,
 exactly the contract the paper's recycler has with its update stream.
-
-``REPRO_DELTA_RECYCLE=0`` disables the delta path (stale entries then
-always re-execute fully) without touching plain recycling.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from ..analysis import expression_effects
 from ..expressions.nodes import Expr
 from ..observability.metrics import METRICS
 from ..observability.tracer import TRACER
-from ..options import ExecutionOptions, env
+from ..options import ExecutionOptions
 from ..runtime.cancellation import CANCEL_PARAM
 from ..runtime.parallel import MORSEL_START, MORSEL_STOP, ParallelQuery
 from ..storage.struct_array import StructArray
@@ -75,7 +72,7 @@ class RecyclerStats:
     #: morsel range and merging with the cached partial state
     delta_hits: int = 0
     #: stale entries that had to re-execute from scratch (non-mergeable
-    #: shape, non-growth change, or REPRO_DELTA_RECYCLE=0)
+    #: shape or non-growth change)
     full_reruns: int = 0
     #: superseded entries evicted when a newer entry for the same
     #: (engine, query, params, source identities) landed — e.g. a plain
@@ -158,21 +155,23 @@ class RecyclingProvider(QueryProvider):
         sources: List[Any],
         engine: str,
         params: Dict[str, Any],
-        pinned: Optional[List[Any]] = None,
+        shape: Optional[Shape] = None,
     ) -> Tuple[Optional[Any], Optional[Shape]]:
         """(result key, shape) — the key is None when this execution must
         not recycle; the shape is None only when nothing was canonicalized.
 
         The key names the *live* sources (their identity outlasts any one
-        execution); the shape is bound to the *pinned* snapshots.
+        execution); a *shape* passed in — bound to the pinned snapshots,
+        or held by a prepared statement — is used as it is.
         """
         effects = expression_effects(expr)
         if effects.nondeterministic:
             # a lambda that reads the clock/RNG can return a different
             # value per run; replaying a cached result would be a lie
             METRICS.counter("recycler.nondeterministic_skips").add()
-            return None, None
-        shape = self.shape(expr, sources if pinned is None else pinned)
+            return None, shape
+        if shape is None:
+            shape = self.shape(expr, sources)
         merged = {
             k: v
             for k, v in {**shape.bindings, **params}.items()
@@ -205,10 +204,11 @@ class RecyclingProvider(QueryProvider):
         # watermarks stored on the entry then describe exactly the prefix
         # the kernels saw, even with writers appending concurrently
         pinned = pin_sources(sources)
+        shape = self._current(expr, pinned, shape)
         # the options are deliberately absent from the result key: every
         # tier's result is bit-identical to the sequential one, so
         # recycling across worker counts is sound
-        key, shape = self._result_key(expr, sources, engine, params, pinned)
+        key, shape = self._result_key(expr, sources, engine, params, shape)
         if key is None:
             return super()._execute(
                 expr, pinned, engine, params, scalar, options, shape
@@ -322,9 +322,8 @@ class RecyclingProvider(QueryProvider):
     ) -> Optional[Tuple[int, int]]:
         """``[old_watermark, new_watermark)`` of the driver when the entry
         can refresh incrementally; None when only a full re-execution is
-        sound (no partial state, delta recycling off, or the change was
-        not growth-only)."""
-        if entry.delta is None or not env("REPRO_DELTA_RECYCLE"):
+        sound (no partial state, or the change was not growth-only)."""
+        if entry.delta is None:
             return None
         driver = entry.delta.artifact.morsel_ordinal
         for i, (old, now) in enumerate(zip(entry.marks, marks)):
@@ -342,8 +341,6 @@ class RecyclingProvider(QueryProvider):
     def _fallback_reason(self, entry: _Entry) -> str:
         if entry.delta is None:
             return entry.delta_reason or "plan is not delta-mergeable"
-        if not env("REPRO_DELTA_RECYCLE"):
-            return "delta recycling disabled (REPRO_DELTA_RECYCLE=0)"
         return "source change was not growth-only"
 
     def _delta_artifact(
@@ -362,8 +359,6 @@ class RecyclingProvider(QueryProvider):
         if shape.compiled(engine).scalar != scalar:
             # the plain provider raises its misuse error on the way through
             return None, ""
-        if not env("REPRO_DELTA_RECYCLE"):
-            return None, "delta recycling disabled (REPRO_DELTA_RECYCLE=0)"
         if not any(_versioned(s) for s in shape.sources):
             # plain collections recycle wholesale (length-keyed); don't
             # pay morsel-kernel compilation for sources that cannot grow

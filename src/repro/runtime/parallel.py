@@ -477,11 +477,8 @@ class ParallelQuery:
                 )
             except Exception:  # noqa: BLE001 - adaptivity is advisory
                 new_size = None
-            if new_size and new_size > 0 and stop0 < total:
-                rest = [
-                    (lo, min(lo + new_size, total))
-                    for lo in range(stop0, total, new_size)
-                ]
+            if new_size and new_size > 0:
+                rest = morsel_bounds(total, new_size, start=stop0)
                 METRICS.counter("parallel.morsels_redecided").add()
             return [first] + self._dispatch(run, rest, workers)
         return self._dispatch(run, bounds, workers)

@@ -1,15 +1,15 @@
 """Prepared statements: pay the Figure-3 pipeline once, execute many.
 
 The canonicalizer already lifts every constant to a parameter, so two
-executions of the same query shape share one cache entry — but each
-execution still walks canonicalize → cache-lookup → (analysis) on the
-hot path.  A :class:`PreparedStatement` hoists all of that to *prepare*
-time: it captures the compiled artifact, the canonical parameter
-bindings, and (when requested) the morsel-parallel artifact, and its
-``execute()`` jumps straight to the generated code with the merged
-bindings.  Re-executing with new bindings therefore skips canonicalize,
-analyze, lower, *and* compile entirely — ``compile.<engine>.count``
-moves exactly once per prepare, never per execute.
+executions of the same query shape share one cache record — but each
+execution still canonicalizes its tree to find that record.  A
+:class:`PreparedStatement` does that once, at *prepare* time: it holds
+the query's :class:`~repro.query.shape.Shape` and compiles the engine's
+sequential artifact there, so ``execute()`` only re-binds parameters and
+hands the held shape to the provider's one execution body.
+``compile.<engine>.count`` moves once per prepare, never per execute —
+the artifact lives in the query cache, inside its budget, so a record
+evicted by cache pressure recompiles on its next execution.
 
 ``prepare`` → ``bind`` → ``execute``::
 
@@ -20,9 +20,10 @@ moves exactly once per prepare, never per execute.
     big = stmt.bind(floor=1000).execute()
     small = stmt.bind(floor=10).execute()      # no second compilation
 
-Executions still pass through the session's admission controller and
-deadline executor — preparation skips compilation, not workload
-management.
+Each execution is an ordinary one — session → admission → deadline
+executor → provider — under the query's options over the session's:
+threads, worker processes, adaptivity, tracing and a recycling
+provider's result cache apply exactly as to ``session.execute``.
 """
 
 from __future__ import annotations
@@ -30,55 +31,31 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..errors import ExecutionError
-from ..query.enumerable import enumerate_query
-from ..query.provider import pin_sources
-from ..runtime.cancellation import CANCEL_PARAM, CancellationToken
+from ..plans.logical import plan_to_text
+from ..query.provider import LINQ_PLAN
 from .executor import UNSET as _UNSET
-from .executor import drain
 
 __all__ = ["PreparedStatement", "BoundStatement"]
 
 
 class PreparedStatement:
-    """A query compiled once, executable many times with fresh bindings.
-
-    A prepared statement never leaves the process: it runs inline or on
-    the thread tier, whatever ``distributed`` its query or the
-    environment asks for (``distributed=0``), and its query's ``trace``
-    override does not apply.
-    """
+    """A query shape canonicalized and compiled once, executable many
+    times with fresh bindings."""
 
     def __init__(self, session: Any, query: Any):
         self._session = session
         self._engine = query.engine
-        self._sources = list(query.sources)
-        self._base_params = dict(query.params)
-        options = query.options.over(session.options)
-        #: the requested thread workers, for admission to grant
-        self._parallelism = options.parallelism
         self._expr = query.expr
-        shape = session.provider.shape(query.expr, self._sources)
-        self._bindings = shape.bindings
-        self._compiled = None
-        self._parallel = None
+        self._sources = list(query.sources)
+        self._params = dict(query.params)
+        self._options = query.options.over(session.options)
+        self._shape = session.provider.shape(query.expr, self._sources)
         if self._engine == "linq":
             # the baseline never compiles, but preparation still hoists
             # canonicalization and static analysis out of execute()
-            shape.analysis()
+            self._scalar = self._shape.analysis().scalar
         else:
-            self._compiled = shape.compiled(self._engine)
-            if options.parallelism is not None and options.parallelism > 1:
-                # the morsel artifact is worker-count independent;
-                # resolve the thread tier once here
-                tier = session.provider.tier(
-                    shape,
-                    self._engine,
-                    self._compiled.scalar,
-                    {},
-                    options._replace(distributed=0).resolved(),
-                )
-                if tier.artifact is not None:
-                    self._parallel = tier
+            self._scalar = self._shape.compiled(self._engine).scalar
 
     # -- introspection ------------------------------------------------------------
 
@@ -88,24 +65,26 @@ class PreparedStatement:
 
     @property
     def scalar(self) -> bool:
-        return bool(self._compiled is not None and self._compiled.scalar)
+        return self._scalar
 
     @property
     def bind_names(self) -> tuple:
         """Bindable parameter names, sorted: the canonicalizer's lifted
         constants (``__c0``, ``__c1``, ...) — user ``P(...)`` names pass
         through ``execute(**params)`` as well."""
-        return tuple(sorted(self._bindings))
+        return tuple(sorted(self._shape.bindings))
 
     @property
     def source_code(self) -> str:
         """The generated module (empty for the interpreted baseline)."""
-        return self._compiled.source_code if self._compiled else ""
+        if self._engine == "linq":
+            return ""
+        return self._shape.compiled(self._engine).source_code
 
     def explain(self) -> str:
-        if self._compiled is None:
-            return "(linq engine: interpreted operator chain, no plan)"
-        return self._compiled.plan_text
+        if self._engine == "linq":
+            return LINQ_PLAN
+        return plan_to_text(self._shape.plan())
 
     # -- the prepare/bind/execute surface ----------------------------------------
 
@@ -120,42 +99,17 @@ class PreparedStatement:
         **params: Any,
     ) -> Any:
         """Run with *params* through the session's admission + executor."""
-        return self._session._run_prepared(
-            self, dict(params), timeout=timeout, priority=priority
+        return self._session._serve(
+            self._expr,
+            self._sources,
+            self._engine,
+            {**self._params, **params},
+            self._options,
+            timeout,
+            priority,
+            self._shape,
+            self._scalar,
         )
-
-    # -- the compile-free execution body (called by the session) -------------------
-
-    def _invoke(
-        self,
-        params: Dict[str, Any],
-        token: Optional[CancellationToken],
-        parallelism: Optional[int],
-    ) -> Any:
-        merged = {**self._bindings, **self._base_params, **params}
-        if token is not None:
-            merged[CANCEL_PARAM] = token
-        # pin live versioned arrays at one watermark for the whole
-        # execution: readers on prepared statements never observe a
-        # torn length while ingest appends concurrently
-        sources = pin_sources(self._sources)
-        if self._compiled is None:  # linq: interpret, but skip re-analysis
-            return drain(
-                enumerate_query(self._expr, sources, merged), token
-            )
-        workers = parallelism if parallelism is not None else 1
-        if self._parallel is not None and workers > 1:
-            tier = self._parallel
-            rows = tier.artifact.execute(
-                sources, merged, min(workers, tier.workers), tier.morsel
-            )
-            if tier.artifact.scalar:
-                return rows
-            return drain(iter(rows), token)
-        result = self._compiled.execute(sources, merged)
-        if self._compiled.scalar:
-            return result
-        return drain(iter(result), token)
 
 
 class BoundStatement:

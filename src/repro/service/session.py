@@ -12,8 +12,9 @@ AdmissionController` and :class:`~repro.service.executor.QueryExecutor`:
 
 Sessions are context managers; a closed session refuses further work
 with :class:`~repro.errors.SessionClosed`.  ``prepare()`` returns a
-:class:`~repro.service.prepared.PreparedStatement` whose executions skip
-the whole compile path while still passing through admission.
+:class:`~repro.service.prepared.PreparedStatement`, which holds its
+query's shape so executions skip canonicalization and compilation while
+taking the same path as ``execute()``.
 """
 
 from __future__ import annotations
@@ -180,23 +181,17 @@ class QuerySession:
         (which covers queue wait *plus* execution), and
         :class:`~repro.errors.QueryCancelled` after an explicit cancel.
         """
-        self._ensure_open()
         # call argument > query > session; the environment fills the rest
         options = ExecutionOptions(parallelism).over(query.options).over(self.options)
-
-        def invoke(token: CancellationToken, granted: Optional[int]) -> List[Any]:
-            params = {**query.params, CANCEL_PARAM: token}
-            # the admission grant caps the requested parallelism
-            iterator = self.provider.execute(
-                query.expr,
-                list(query.sources),
-                query.engine,
-                params,
-                options._replace(parallelism=granted),
-            )
-            return drain(iterator, token)
-
-        return self._admit_and_run(invoke, options.parallelism, timeout, priority)
+        return self._serve(
+            query.expr,
+            list(query.sources),
+            query.engine,
+            query.params,
+            options,
+            timeout,
+            priority,
+        )
 
     def ingest(
         self,
@@ -288,38 +283,30 @@ class QuerySession:
             runner=lambda: self.execute(query),
         )
 
-    # -- shared serving internals ------------------------------------------------------
+    # -- the one serving path ---------------------------------------------------------
 
-    def _run_prepared(
+    def _serve(
         self,
-        statement: PreparedStatement,
+        expr: Any,
+        sources: List[Any],
+        engine: str,
         params: Dict[str, Any],
-        timeout: Any = _UNSET,
-        priority: Optional[int] = None,
-    ) -> Any:
-        self._ensure_open()
-
-        def invoke(token: CancellationToken, granted: Optional[int]) -> Any:
-            return statement._invoke(params, token, granted)
-
-        return self._admit_and_run(
-            invoke, statement._parallelism, timeout, priority
-        )
-
-    def _admit_and_run(
-        self,
-        invoke: Any,
-        requested_parallelism: Optional[int],
+        options: ExecutionOptions,
         timeout: Any,
         priority: Optional[int],
+        shape: Any = None,
+        scalar: bool = False,
     ) -> Any:
+        """Admission → deadline executor → provider, for every execution
+        of the session — ad hoc, or prepared with its held *shape*."""
+        self._ensure_open()
         seconds = self.timeout if timeout is _UNSET else timeout
         priority = self.priority if priority is None else priority
         token = CancellationToken.with_timeout(seconds)
         with TRACER.span("service.queue_wait", priority=priority) as span:
             ticket = self.admission.acquire(
                 priority=priority,
-                parallelism=requested_parallelism,
+                parallelism=options.parallelism,
                 timeout=token.remaining(),
             )
             span.set(
@@ -334,8 +321,17 @@ class QuerySession:
             with self._lock:
                 self._inflight.discard(token)
 
-        return self.executor.run(
-            lambda: invoke(token, ticket.parallelism),
-            token=token,
-            cleanup=cleanup,
-        )
+        def invoke() -> Any:
+            run = self.provider.execute_scalar if scalar else self.provider.execute
+            # the admission grant caps the requested parallelism
+            result = run(
+                expr,
+                sources,
+                engine,
+                {**params, CANCEL_PARAM: token},
+                options._replace(parallelism=ticket.parallelism),
+                shape,
+            )
+            return result if scalar else drain(result, token)
+
+        return self.executor.run(invoke, token=token, cleanup=cleanup)

@@ -69,7 +69,7 @@ class StructArray:
         self._index_store: dict = {}
         #: clustering column + the version it was established at; stale
         #: clustering (appends since) is bypassed, never trusted
-        self._clustered_by: Optional[str] = None
+        self._cluster_field: Optional[str] = None
         self._clustered_version = -1
         #: the live array a snapshot was pinned from (None on live arrays);
         #: lets the snapshot inherit the parent's *logical* index design
@@ -202,11 +202,11 @@ class StructArray:
         snap._frozen = True
         snap._index_store = {}
         snap._parent = self
-        if self._clustered_by is not None and self._clustered_version == state[2]:
-            snap._clustered_by = self._clustered_by
+        if self._cluster_field is not None and self._clustered_version == state[2]:
+            snap._cluster_field = self._cluster_field
             snap._clustered_version = state[2]
         else:
-            snap._clustered_by = None
+            snap._cluster_field = None
             snap._clustered_version = -1
         return snap
 
@@ -268,7 +268,7 @@ class StructArray:
         self.schema[field_name]  # validates
         order = np.argsort(self.data[field_name], kind="stable")
         clustered = StructArray(self.schema, self.data[order])
-        clustered._clustered_by = field_name
+        clustered._cluster_field = field_name
         clustered._clustered_version = clustered.version
         return clustered
 
@@ -276,14 +276,9 @@ class StructArray:
     def clustering(self) -> str | None:
         """The column this array is physically ordered by, if that fact
         is still current (no appends since :meth:`cluster_by`)."""
-        if self._clustered_by is None:
+        if self._cluster_field is None:
             return None
-        return self._clustered_by if self._clustered_version == self.version else None
-
-    @property
-    def clustered_by(self) -> str | None:
-        """Backwards-compatible alias of :attr:`clustering`."""
-        return self.clustering
+        return self._cluster_field if self._clustered_version == self.version else None
 
     # -- indexes (§9 future-work extension) --------------------------------------
 

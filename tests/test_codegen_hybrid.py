@@ -346,3 +346,25 @@ class TestMinVariantShapes:
         assert {(r.tag, r.label) for r in rows} == {
             (i, f"b{i % 3}") for i in range(9)
         }
+
+
+class TestMinJoinKinds:
+    def test_direct_min_left_join_compile_is_refused(self):
+        # the Min program reports matching pairs only: compiled as an
+        # inner join this query would drop the two unmatched probe rows
+        from repro.plans import optimize, translate
+        from repro.query import from_iterable
+
+        probe = from_iterable([item(k=k) for k in (1, 2, 3)], token="min:probe")
+        build = from_iterable([item(k=1, w=10.0)], token="min:build")
+        query = probe.left_outer_join(
+            build,
+            lambda p: p.k,
+            lambda b: b.k,
+            lambda p, b: new(k=p.k, w=b.w),
+            {"k": 0, "w": 0.0},
+        )
+        assert len(query.using("linq").to_list()) == 3
+        plan = optimize(translate(query.expr))
+        with pytest.raises(UnsupportedQueryError, match="inner joins"):
+            HybridBackend(minimal=True).compile(plan, list(query.sources))

@@ -396,29 +396,6 @@ def test_left_join_falls_back_to_full_rerun():
     assert analysis.recycle.startswith("hit")  # unchanged source: hit
 
 
-def test_escape_hatch_disables_delta(monkeypatch):
-    monkeypatch.setenv("REPRO_DELTA_RECYCLE", "0")
-    rng = random.Random(6)
-    arr = StructArray.from_rows(T1, _rows_a(rng, 60))
-    provider = RecyclingProvider()
-    query = (
-        from_iterable(arr)
-        .using("compiled", provider)
-        .where(lambda r: r.g >= 0)
-        .select(lambda r: r.v)
-    )
-    query.to_list()
-    arr.append_rows(_rows_a(rng, 6))
-    with TRACER.capture() as spans:
-        rows = query.to_list()
-    assert provider.recycler_stats.delta_hits == 0
-    assert provider.recycler_stats.full_reruns == 1
-    (entry,) = _recycle_modes(spans)
-    assert entry[0] == "full"
-    assert "REPRO_DELTA_RECYCLE" in entry[1]
-    assert rows == [r.v for r in arr]
-
-
 def test_non_growth_change_falls_back():
     """A second versioned source changing (not the driver) is not a pure
     delta: full re-execution, never a wrong merge."""

@@ -24,12 +24,7 @@ from repro.adaptive import AdaptiveChooser, ProfileStore
 from repro.distributed import shutdown_pools
 from repro.observability import TRACER
 from repro.options import VARIABLES, env
-from repro.query import (
-    QueryProvider,
-    RecyclingProvider,
-    from_iterable,
-    from_struct_array,
-)
+from repro.query import QueryProvider, from_iterable, from_struct_array
 from repro.service import QuerySession
 from repro.storage import Field, Schema, StructArray
 
@@ -93,10 +88,9 @@ def _integer(name, default, valid, minimum):
 GRAMMAR = [
     *_boolean("REPRO_TRACE", False),
     *_boolean("REPRO_ADAPTIVE", False),
-    # the three escape hatches: every "off" spelling switches them off
+    # the two escape hatches: every "off" spelling switches them off
     *_boolean("REPRO_GUARD_ELISION", True),
     *_boolean("REPRO_VERIFY_GENERATED", True),
-    *_boolean("REPRO_DELTA_RECYCLE", True),
     *_integer("REPRO_PARALLELISM", 1, 4, minimum=1),
     *_integer("REPRO_DIST_WORKERS", 2, 4, minimum=2),
     *_integer("REPRO_SERVICE_SLOTS", 4, 9, minimum=1),
@@ -216,21 +210,6 @@ def test_verify_generated_off_skips_verification(clean_env):
     assert _source(QueryProvider()).verifier_report is None
 
 
-@pytest.mark.parametrize("spelling", ["false", "off", "FALSE", " 0", "no"])
-def test_delta_recycle_off_spellings_force_full_reruns(clean_env, spelling):
-    clean_env.setenv("REPRO_DELTA_RECYCLE", spelling)
-    array = _array(60)
-    provider = RecyclingProvider()
-    query = (
-        from_struct_array(array).using("compiled", provider).select(lambda r: r.v)
-    )
-    query.to_list()
-    array.append_rows([(60, 0, 15.0)])
-    assert query.to_list() == [row.v for row in array]
-    assert provider.recycler_stats.delta_hits == 0
-    assert provider.recycler_stats.full_reruns == 1
-
-
 KEY = "0123456789abcdef0123"
 
 
@@ -342,3 +321,34 @@ def test_session_defaults_sit_beneath_the_query(clean_env):
         assert session.execute(query.in_parallel(3, 64)) == query.to_list()
     # the query's in_parallel(3) beat the session's parallelism=1
     assert ("compiled", "threads") in session.provider.cache.resident()[0]
+
+
+def test_prepared_statement_runs_on_worker_processes(clean_env):
+    with QuerySession(provider=QueryProvider()) as session:
+        query = (
+            from_struct_array(_array())
+            .using("native", session.provider)
+            .where(lambda r: r.g > 1)
+            .select(lambda r: r.v)
+        )
+        statement = session.prepare(query.distributed(2))
+        with TRACER.capture() as spans:
+            rows = statement.execute()
+    assert len(_spans_named(spans, "dist.execute")) == 1
+    assert rows == query.to_list()
+
+
+def test_prepared_statement_honours_a_query_trace_override(clean_env):
+    TRACER.reset()
+    with QuerySession(provider=QueryProvider()) as session:
+        statement = session.prepare(
+            from_iterable(OBJECTS, schema=SCHEMA)
+            .using("compiled", session.provider, trace=True)
+            .where(lambda r: r.g > 1)
+        )
+        assert len(statement.execute()) == 30
+    names = {record.name for record in TRACER.spans()}
+    TRACER.reset()
+    assert "query.execute" in names
+    # the held shape skips canonicalization
+    assert "query.canonicalize" not in names

@@ -9,7 +9,9 @@ Four contracts pinned here:
 * **Metrics** — counters registered by :class:`QueryCache` agree exactly
   with its own ``CacheStats`` accounting (same locks, same increments).
 * **explain()** — byte-exact goldens for TPC-H Q1/Q3 across all four
-  engines (parallelism pinned to 1; the text is deterministic).
+  engines (parallelism pinned to 1; the text is deterministic); its
+  capability and tier lines are what compilation and ``provider.tier()``
+  decide.
 * **explain_analyze()** — executes the query and reports measured
   per-phase wall times, row counts, cache status, and morsel accounting.
 """
@@ -19,10 +21,11 @@ import time
 
 import pytest
 
-from repro import new
+from repro import P, new
+from repro.errors import UnsupportedQueryError
 from repro.observability import METRICS, TRACER, MetricsRegistry, Tracer
 from repro.observability.tracer import traced_rows
-from repro.query import QueryCache, QueryProvider, from_iterable
+from repro.query import QueryCache, QueryProvider, from_iterable, from_struct_array
 from repro.storage import Field, Schema, StructArray
 from repro.tpch import TPCHData, aggregation_micro
 from repro.tpch.queries import q1, q3, relation_query
@@ -289,13 +292,12 @@ class TestMetrics:
         assert hist["count"] >= 1
         assert hist["sum"] > 0
 
-    def test_recycler_counters_match_recycler_stats_exactly(self, monkeypatch):
+    def test_recycler_counters_match_recycler_stats_exactly(self):
         # the acceptance contract: METRICS mirrors RecyclerStats 1:1 —
         # every stats field moves in the same branch as its counter,
         # including the delta-recycling outcomes
         from repro.query.recycler import RecyclingProvider
 
-        monkeypatch.delenv("REPRO_DELTA_RECYCLE", raising=False)
         provider = RecyclingProvider()
         array = StructArray.from_rows(SCHEMA, [(i, i * 0.5) for i in range(100)])
         names = ("hits", "misses", "invalidations", "delta_hits", "full_reruns")
@@ -310,20 +312,22 @@ class TestMetrics:
         query.to_list()  # hit
         array.append_rows([(100, 50.0)])
         query.to_list()  # delta: kernels over [100, 101) only
-        monkeypatch.setenv("REPRO_DELTA_RECYCLE", "0")
+        # a concatenation has no per-morsel decomposition: no delta state
+        unmergeable = query.concat(query)
+        unmergeable.to_list()  # miss
         array.append_rows([(101, 50.5)])
-        query.to_list()  # stale + delta disabled: full re-execution
-        provider.invalidate(array)
+        unmergeable.to_list()  # stale, not delta-mergeable: full re-execution
+        provider.invalidate(array)  # both entries name the array
 
         stats = provider.recycler_stats
         moved = {
             n: METRICS.counter(f"recycler.{n}").value - before[n] for n in names
         }
         assert moved["hits"] == stats.hits == 1
-        assert moved["misses"] == stats.misses == 1
+        assert moved["misses"] == stats.misses == 2
         assert moved["delta_hits"] == stats.delta_hits == 1
         assert moved["full_reruns"] == stats.full_reruns == 1
-        assert moved["invalidations"] == stats.invalidations == 1
+        assert moved["invalidations"] == stats.invalidations == 2
 
 
 class TestAnalysisMetrics:
@@ -521,6 +525,70 @@ class TestExplainGoldens:
         text = query.explain()
         assert "capability: unsupported" in text
         assert "\n  - " in text  # at least one reason line
+
+
+class _Unsized:
+    """Re-iterable, but with no length to cut morsels from."""
+
+    def __init__(self, items):
+        self._items = items
+
+    def __iter__(self):
+        return iter(self._items)
+
+
+def _unpicklable(value):
+    class Local(float):  # a class local to a function does not pickle
+        pass
+
+    return Local(value)
+
+
+class TestExplainReadsTheDecisions:
+    """The capability and tier lines are the compiler's and ``tier()``'s
+    own verdicts, not a re-derivation."""
+
+    def test_unsized_driver_reports_why_it_stays_sequential(self):
+        query = (
+            from_iterable(_Unsized(OBJECTS))
+            .using("compiled", QueryProvider())
+            .where(lambda r: r.x > 3)
+            .in_parallel(2)
+        )
+        reason = "sequential — driver source 0 has no length to cut into morsels"
+        assert f"\nparallel: {reason}" in query.explain()
+        # explain_analyze reads the same reason off the executed span
+        analysis = query.explain_analyze()
+        assert analysis.rows == 36
+        assert analysis.parallel == reason
+
+    def test_unshippable_parameters_report_why_they_stay_in_process(self):
+        query = (
+            from_struct_array(StructArray.from_objects(SCHEMA, OBJECTS))
+            .using("native", QueryProvider())
+            .where(lambda r: r.y > P("floor"))
+            .with_params(floor=_unpicklable(3.0))
+            .distributed(2)
+        )
+        reason = "in-process — query parameters cannot cross the process boundary"
+        assert f"\ndistributed: {reason}" in query.explain()
+        analysis = query.explain_analyze()  # in-process: nothing spawns
+        assert analysis.rows == 33
+        assert analysis.distributed.startswith(reason)
+
+    def test_capability_is_the_backends_verdict(self):
+        query = (
+            from_struct_array(StructArray.from_objects(SCHEMA, OBJECTS))
+            .using("native", QueryProvider())
+            .group_by(
+                lambda r: new(a=r.x % 2, b=r.x % 3),
+                lambda grp: new(k=grp.key, n=grp.count()),
+            )
+        )
+        message = "native code cannot manipulate whole records as values"
+        assert f"\ncapability: unsupported\n  - {message}" in query.explain()
+        with pytest.raises(UnsupportedQueryError, match=message):
+            query.to_list()
 
 
 # ---------------------------------------------------------------------------

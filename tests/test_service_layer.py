@@ -6,7 +6,8 @@ executor) and the assembled serving path, including the two headline
 guarantees:
 
 * a prepared statement executed many times with different bindings
-  compiles exactly once (``compile.<engine>.count`` moves by one);
+  compiles exactly once (``compile.<engine>.count`` moves by one), and
+  otherwise executes like any other query on the provider;
 * a query that exceeds its deadline raises ``QueryTimeoutError`` from
   *every* engine within 2x the deadline, while a concurrent query on the
   same provider completes normally.
@@ -26,7 +27,7 @@ from repro.errors import (
     SessionClosed,
 )
 from repro.observability.metrics import METRICS
-from repro.query import QueryProvider, from_iterable
+from repro.query import QueryCache, QueryProvider, RecyclingProvider
 from repro.runtime.cancellation import (
     CANCEL_PARAM,
     CancellationToken,
@@ -339,6 +340,51 @@ class TestPreparedStatements:
             )
             assert statement.engine == "linq"
             assert len(statement.execute()) == 5
+
+    def test_prepared_reads_the_recycling_result_cache(self):
+        provider = RecyclingProvider()
+        with _session(provider=provider, engine="compiled", parallelism=1) as session:
+            statement = session.prepare(
+                session.query(OBJECTS, schema=SCHEMA).where(lambda r: r.x < 5)
+            )
+            first = statement.execute()
+            assert statement.execute() == first
+        assert len(first) == 5
+        assert provider.recycler_stats.misses == 1
+        assert provider.recycler_stats.hits == 1
+
+    def test_evicted_record_recompiles_inside_the_cache_budget(self):
+        provider = QueryProvider(cache=QueryCache(max_entries=1))
+        with _session(provider=provider, engine="compiled", parallelism=1) as session:
+            statement = session.prepare(
+                session.query(OBJECTS, schema=SCHEMA).where(lambda r: r.x < 5)
+            )
+            # another shape takes the whole one-artifact budget
+            session.execute(session.query(OBJECTS, schema=SCHEMA).select(lambda r: r.y))
+            before = METRICS.counter("compile.compiled.count").value
+            assert len(statement.execute()) == 5
+            assert METRICS.counter("compile.compiled.count").value == before + 1
+        assert len(provider.cache) == 1
+
+    def test_prepared_follows_clustering_gone_stale(self):
+        from repro import P, from_struct_array
+
+        schema = Schema([Field("k", "int"), Field("v", "float")], name="Clu")
+        array = StructArray.from_rows(schema, [(i, float(i)) for i in range(10)])
+        clustered = array.cluster_by("v")
+        with _session(engine="native", parallelism=1) as session:
+            statement = session.prepare(
+                from_struct_array(clustered)
+                .using("native", session.provider)
+                .where(lambda r: r.v > P("c"))
+                .select(lambda r: r.k)
+                .with_params(c=5.0)
+            )
+            assert statement.execute() == [6, 7, 8, 9]
+            # out of sorted order: code compiled for the clustering would
+            # take binary-search bounds over an unsorted tail
+            clustered.append_rows([(100, 100.0), (200, 0.0), (300, 1.0)])
+            assert statement.execute() == [6, 7, 8, 9, 100]
 
     def test_prepared_respects_deadline(self):
         with _session(engine="compiled") as session:

@@ -451,10 +451,8 @@ class TestVersionedStructArray:
     def test_clustering_goes_stale_on_append(self):
         arr = self._sample().cluster_by("population")
         assert arr.clustering == "population"
-        assert arr.clustered_by == "population"
         arr.append_rows([("Tiny", 1, 0.1)])  # out of sorted position
         assert arr.clustering is None
-        assert arr.clustered_by is None
 
     def test_stale_index_is_rebuilt_on_get(self):
         arr = self._sample()
