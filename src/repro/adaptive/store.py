@@ -146,13 +146,6 @@ class QueryProfile:
             candidates, key=lambda s: (s.ewma_ms, s.config, s.distributed)
         )
 
-    @property
-    def divergence(self) -> Optional[float]:
-        """observed/estimated cardinality ratio (>1 = underestimated)."""
-        if not self.estimated_rows or self.runs == 0:
-            return None
-        return max(self.observed_rows, 1.0) / max(self.estimated_rows, 1)
-
 
 class ProfileStore:
     """Aggregated runtime profiles, persisted as append-only JSON lines."""

@@ -49,8 +49,6 @@ class CompiledQuery:
     scalar: bool = False
     #: static analysis of the originating query (set by the provider)
     analysis: Any = None
-    #: engine capability report for the plan (set by the provider)
-    capability: Any = None
     #: AST verifier report for the generated module (set by compile_source)
     verifier_report: Any = None
 

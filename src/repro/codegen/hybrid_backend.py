@@ -56,7 +56,9 @@ from ..expressions.nodes import Lambda, New, Var
 from ..expressions.visitor import substitute
 from ..plans.logical import (
     Filter,
+    FlatMap,
     GroupAggregate,
+    GroupBy,
     Join,
     Plan,
     Project,
@@ -81,6 +83,7 @@ from .mapping import StagedSource, staged_schema_for
 from .native_backend import (
     ColumnRef,
     Frame,
+    _outside_fragment,
     _VectorEmitter,
 )
 from .python_backend import _CodeVarPrinter
@@ -173,6 +176,12 @@ def _staging_from_ir(
     implicit projection of §6.2, computed once by the shared
     required-fields pass.  Returns the specs plus pid → peeled-op count.
     """
+    # the native half has no form for these nodes; name them before the
+    # whole-element check below, which their outputs would trip first
+    chained = [op for p in ir.pipelines for op in p.operators]
+    for node in chained + [b.node for b in ir.breakers]:
+        if isinstance(node, (FlatMap, GroupBy)):
+            raise _outside_fragment(node)
     staged: Dict[int, StagedSource] = {}
     peeled: Dict[int, int] = {}
     for pipeline in ir.pipelines:
@@ -865,8 +874,8 @@ class _MinEmitter:
             node = node.child
         if not isinstance(node, Scan):
             raise UnsupportedQueryError(
-                "Min staging requires the native operator to sit directly on "
-                "(filtered) scans"
+                "Min staging only supports (filtered) scans and joins below "
+                "the native operator"
             )
         return node.ordinal, list(reversed(predicates))
 

@@ -638,7 +638,7 @@ class QueryIR:
     #: like source_fields, but beyond the hybrid staging boundary
     #: (scan-adjacent filter predicates excluded — they run managed-side)
     staging_fields: Dict[int, Optional[Set[str]]]
-    #: the morsel-parallel decision (plans/validate.ParallelSplit)
+    #: the morsel-parallel decision (codegen/lower.ParallelSplit)
     split: Any
     morsel_ordinal: Optional[int]
     scalar: bool
@@ -656,16 +656,6 @@ class QueryIR:
         for breaker in self.breakers:
             if breaker.node is node:
                 return breaker
-        return None
-
-    def pipeline_of(self, node: Plan) -> Optional[Pipeline]:
-        """The pipeline whose chain or driver contains *node*."""
-        for pipeline in self.pipelines:
-            if pipeline.driver is node:
-                return pipeline
-            for op in pipeline.operators:
-                if op is node:
-                    return pipeline
         return None
 
     def describe(self) -> List[str]:

@@ -30,6 +30,7 @@ privately, once, in a fixed order:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis.effects import plan_effects
@@ -56,7 +57,6 @@ from ..plans.logical import (
     plan_children,
 )
 from ..plans.optimizer import OptimizeOptions, _Context, _reorder_predicates
-from ..plans.validate import PARALLEL_MERGEABLE_AGGREGATES, ParallelSplit
 from .ir import (
     CseAllocator,
     Pipeline,
@@ -69,7 +69,13 @@ from .ir import (
     strip_scan_filters,
 )
 
-__all__ = ["lower_plan", "decide_parallel", "hybrid_placements"]
+__all__ = [
+    "lower_plan",
+    "decide_parallel",
+    "hybrid_placements",
+    "ParallelSplit",
+    "PARALLEL_MERGEABLE_AGGREGATES",
+]
 
 #: every plan node kind the lowering passes understand
 _KNOWN_NODES = (
@@ -354,8 +360,34 @@ def _segment(
 
 
 # ---------------------------------------------------------------------------
-# Parallel eligibility (moved here from plans/validate.py, which delegates)
+# Parallel eligibility
 # ---------------------------------------------------------------------------
+
+#: aggregate kinds with a deterministic partial-merge (avg via sum+count)
+PARALLEL_MERGEABLE_AGGREGATES = frozenset({"sum", "count", "min", "max", "avg"})
+
+
+@dataclass(frozen=True)
+class ParallelSplit:
+    """Decision of the per-operator parallel-safety check
+    (:func:`decide_parallel` / :func:`decide_distributed`).
+
+    When ``parallel`` is True the plan decomposes into a morsel kernel
+    (``core`` minus any aggregate root) plus ``post_ops`` — the
+    order-sensitive root operators, outermost first, that the parallel
+    runtime re-applies managed-side after the deterministic merge.
+    ``mode`` names the merge algebra: ``"rows"`` (concatenate in morsel
+    order), ``"scalar"`` (fold partial aggregates), or ``"group"``
+    (StreamingGroupAggregator over partial group tables).  When False,
+    ``reasons`` explains the fallback to sequential execution.
+    """
+
+    parallel: bool
+    mode: str = ""
+    core: Optional[Plan] = None
+    post_ops: Tuple[Plan, ...] = ()
+    morsel_ordinal: int = -1
+    reasons: Tuple[str, ...] = ()
 
 
 def decide_parallel(plan: Plan) -> ParallelSplit:

@@ -1,21 +1,22 @@
 """Object ↔ native layout mappings — paper §6.2.
 
 The hybrid engine must copy object data into flat native memory.  Three
-questions decide what the staging code looks like, answered here:
+questions decide what the staging code looks like:
 
-1. **Which fields does the query actually touch?**
-   (:func:`repro.codegen.ir.required_source_fields`, run by
-   `split_staging`) Only those are copied — the paper's *implicit
-   projection* driven by the source mapping of Figure 6.
-2. **What are their native types?** (`infer_object_schema`) C# answers by
-   reflection; Python objects carry no static types, so we sample the
-   collection and derive dtypes (string widths are measured over the
-   sample with headroom; overflow at staging time raises
+1. **Which fields does the query actually touch?** Lowering answers it:
+   the IR's ``staging_fields`` (the shared required-fields pass over the
+   plan with scan-adjacent filters stripped).  Only those are copied —
+   the paper's *implicit projection* driven by the source mapping of
+   Figure 6.
+2. **What are their native types?** (`infer_object_schema`, here) C#
+   answers by reflection; Python objects carry no static types, so we
+   sample the collection and derive dtypes (string widths are measured
+   over the sample with headroom; overflow at staging time raises
    :class:`~repro.errors.SchemaError` rather than truncating silently).
-3. **Which filters run managed-side, before staging?** (`split_staging`)
-   "We apply all filtering operations in C#" — filters sitting directly on
-   a scan move into the staging loop; the remaining plan runs natively
-   over the staged arrays.
+3. **Which filters run managed-side, before staging?** "We apply all
+   filtering operations in C#" — the hybrid backend peels the filters
+   sitting directly on each pipeline's scan into the staging loop; the
+   remaining plan runs natively over the staged arrays.
 """
 
 from __future__ import annotations
@@ -24,17 +25,14 @@ import datetime
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..errors import SchemaError, UnsupportedQueryError
+from ..errors import SchemaError
 from ..expressions.nodes import Lambda
-from ..plans.logical import Plan
 from ..storage.schema import Field, Schema
 from ..storage.struct_array import StructArray
-from .ir import required_source_fields, strip_scan_filters
 
 __all__ = [
     "infer_object_schema",
     "StagedSource",
-    "split_staging",
 ]
 
 #: how many elements to examine when deriving a schema from objects
@@ -151,36 +149,6 @@ class StagedSource:
     fields: Tuple[str, ...]
     #: native layout of the staged rows
     schema: Schema = field(default=None)  # type: ignore[assignment]
-
-
-def split_staging(plan: Plan) -> Tuple[Plan, Dict[int, StagedSource]]:
-    """Peel scan-adjacent filters off the plan into staging specs.
-
-    Returns the remaining (native) plan, whose Scans now refer to staged
-    arrays, plus one :class:`StagedSource` per input.  Both the peel and
-    the field lists come from the shared IR passes
-    (:func:`repro.codegen.ir.strip_scan_filters` /
-    :func:`~repro.codegen.ir.required_source_fields` of the *stripped*
-    plan — after stripping, predicate-only fields no longer force
-    staging).
-    """
-    stripped, peeled = strip_scan_filters(plan)
-    usage = required_source_fields(stripped)
-    staged: Dict[int, StagedSource] = {}
-    for ordinal, predicates in peeled.items():
-        fields = usage.get(ordinal, set())
-        if fields is None:
-            raise UnsupportedQueryError(
-                f"the query uses whole elements of source_{ordinal} beyond "
-                f"the staging boundary; the hybrid engine requires flat "
-                f"field access (use the compiled engine)"
-            )
-        staged[ordinal] = StagedSource(
-            ordinal=ordinal,
-            predicates=predicates,
-            fields=tuple(sorted(fields)),
-        )
-    return stripped, staged
 
 
 def staged_schema_for(

@@ -629,10 +629,7 @@ class _VectorEmitter:
             return need
         if breaker.kind == "distinct-materialize":
             return None  # distinct compares whole rows: every column participates
-        raise UnsupportedQueryError(
-            f"plan node {type(node).__name__} is outside the native "
-            f"fragment (§5 restrictions); use the compiled engine"
-        )
+        raise _outside_fragment(node)
 
     def _consumer_demand(self, breaker: PipelineBreaker) -> Optional[Set[str]]:
         if breaker.consumer is None:
@@ -711,10 +708,7 @@ class _VectorEmitter:
     ) -> Frame:
         handler = getattr(self, f"_apply_{type(op).__name__}", None)
         if handler is None:
-            raise UnsupportedQueryError(
-                f"plan node {type(op).__name__} is outside the native "
-                f"fragment (§5 restrictions); use the compiled engine"
-            )
+            raise _outside_fragment(op)
         return handler(op, frame, need)
 
     def _bind_cse(
@@ -1090,10 +1084,7 @@ class _VectorEmitter:
         if frame is None:
             handler = getattr(self, f"_out_{breaker.kind.replace('-', '_')}", None)
             if handler is None:
-                raise UnsupportedQueryError(
-                    f"plan node {type(breaker.node).__name__} is outside the "
-                    f"native fragment (§5 restrictions); use the compiled engine"
-                )
+                raise _outside_fragment(breaker.node)
             fed = self._concat_frames(self._feeds.get(breaker.bid, []))
             frame = handler(breaker.node, fed, need)
             self._breaker_frames[breaker.bid] = frame
@@ -1275,3 +1266,10 @@ def _preserves_rows(plan: Plan) -> bool:
 
 def _empty_aggregate_error():
     return ExecutionError("aggregate of an empty sequence has no value")
+
+
+def _outside_fragment(node: Plan) -> UnsupportedQueryError:
+    return UnsupportedQueryError(
+        f"plan node {type(node).__name__} is outside the native "
+        f"fragment (§5 restrictions); use the compiled engine"
+    )

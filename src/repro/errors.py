@@ -33,8 +33,8 @@ class UnsupportedExpressionError(ExpressionError):
 class QueryAnalysisError(ReproError):
     """The query is ill-typed: static analysis rejected it before codegen.
 
-    Raised by :mod:`repro.expressions.typing` (expression-level inference)
-    and :mod:`repro.plans.validate` (operator preconditions).  Carries the
+    Raised by :mod:`repro.expressions.typing` (expression-level inference
+    and operator preconditions).  Carries the
     printed path of the offending sub-expression so the user sees *which*
     part of the query is wrong instead of a traceback out of generated
     code.

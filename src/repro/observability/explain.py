@@ -56,7 +56,6 @@ _PHASE_ORDER = (
     "query.cache_lookup",
     "query.analyze",
     "query.optimize",
-    "query.validate",
     "query.lower",
     "query.analyze_dataflow",
     "codegen.generate",

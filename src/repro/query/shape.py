@@ -20,7 +20,12 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 from ..analysis import analyze_ir
 from ..codegen.compiler import CompiledQuery
 from ..codegen.ir import QueryIR
-from ..codegen.lower import decide_distributed, decide_parallel, lower_plan
+from ..codegen.lower import (
+    ParallelSplit,
+    decide_distributed,
+    decide_parallel,
+    lower_plan,
+)
 from ..codegen.verifier import check_facts, check_ir
 from ..errors import DistributedError, UnsupportedQueryError
 from ..expressions.canonical import CanonicalQuery
@@ -31,7 +36,6 @@ from ..options import env
 from ..plans.logical import Plan, plan_to_text
 from ..plans.optimizer import optimize
 from ..plans.translate import translate
-from ..plans.validate import ParallelSplit, capability_report, validate_plan
 from ..runtime.parallel import build_parallel_query
 
 if TYPE_CHECKING:
@@ -332,21 +336,16 @@ class Shape:
         return compiled
 
     def _compile(self, engine: str) -> Tuple[CompiledQuery, bool]:
-        """(artifact, was it resident) — called under the record's lock."""
-        # layer 1: expression-tree type inference (QueryAnalysisError on
-        # ill-typed queries, before any plan or source exists)
+        """(artifact, was it resident) — called under the record's lock.
+
+        Expression typing raises :class:`~repro.errors.QueryAnalysisError`
+        for ill-typed queries before any plan exists; after that the
+        backend is the one judge of its engine's fragment, and its
+        :class:`~repro.errors.UnsupportedQueryError` is the refusal.
+        """
         analysis = self.analysis()
         plan = self.plan()
         backend = _make_backend(engine)  # raises for unknown engines
-        # layer 2: operator preconditions + one capability report per
-        # engine (replaces scattered in-backend fragment checks)
-        with TRACER.span("query.validate", engine=engine):
-            plan_types = validate_plan(
-                plan, analysis.source_types, params=self.bindings
-            )
-            report = capability_report(plan, engine, self.sources, plan_types)
-        if not report.supported:
-            raise UnsupportedQueryError(report.describe())
         key = self._artifact_key(engine, "sequential")
         cache = self._provider.cache
         compiled = cache.find(self.record, key)
@@ -372,8 +371,7 @@ class Shape:
         compiled.plan_text = plan_to_text(plan)
         compiled.engine = engine
         compiled.analysis = analysis
-        compiled.capability = report
-        # layer 3 ran inside compile_source; recover the verifier report
+        # the AST verifier ran inside compile_source; recover its report
         if compiled.verifier_report is None and compiled.fn is not None:
             compiled.verifier_report = getattr(
                 compiled.fn, "__globals__", {}
@@ -389,7 +387,7 @@ class Shape:
         — or None when this shape/engine has none (see :meth:`refusal`).
 
         Call after :meth:`compiled` succeeded for *engine*: the plan is
-        then analyzed, validated and inside the engine's fragment, and a
+        then analyzed and inside the engine's fragment, and a
         refusal downgrades the tier instead of raising.  Keyed by shape,
         engine and kind only — never by worker count; lookups do not
         count as cache hits or misses.

@@ -8,14 +8,12 @@
   interpreted (≈ VectorWise).
 """
 
-from .catalog import Catalog
 from .compiled import CompiledExecutor
 from .sql_plans import TPCH_QUERY_NAMES, PlanBundle, tpch_bundle
 from .vectorized import VBatch, VectorizedExecutor, vec_eval
 from .volcano import VolcanoExecutor
 
 __all__ = [
-    "Catalog",
     "VolcanoExecutor",
     "CompiledExecutor",
     "VectorizedExecutor",

@@ -61,7 +61,7 @@ from ..plans.logical import (
     Sort,
     TopN,
 )
-from ..plans.validate import ParallelSplit
+from ..codegen.lower import ParallelSplit
 from ..storage.schema import date_to_days, days_to_date
 from .cancellation import cancel_check
 from .streaming import StreamingGroupAggregator

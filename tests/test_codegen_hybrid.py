@@ -5,12 +5,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.codegen.hybrid_backend import HybridBackend, _enc_str, _find_stream_target
+from repro.codegen.hybrid_backend import (
+    HybridBackend,
+    _enc_str,
+    _find_stream_target,
+    _staging_from_ir,
+)
 from repro.codegen.ir import required_source_fields
+from repro.codegen.lower import lower_plan
 from repro.codegen.mapping import (
     StagedSource,
     infer_object_schema,
-    split_staging,
     staged_schema_for,
 )
 from repro.errors import SchemaError, UnsupportedQueryError
@@ -124,10 +129,12 @@ class TestSplitStaging:
             (AggregateSpec("sum", trace_lambda(lambda s: s.v)),),
             Var("__agg0"),
         )
-        stripped, staged = split_staging(plan)
-        assert isinstance(stripped.child, Scan)
-        assert len(staged[0].predicates) == 1
+        ir = lower_plan(plan)
         # predicate fields dropped from staging: only the aggregate's field
+        assert ir.staging_fields == {0: {"v"}}
+        staged, peeled = _staging_from_ir(ir)
+        assert peeled == {0: 1}
+        assert len(staged[0].predicates) == 1
         assert staged[0].fields == ("v",)
 
     def test_non_adjacent_filter_stays(self):
@@ -135,14 +142,15 @@ class TestSplitStaging:
             Project(SCAN, trace_lambda(lambda s: new(x=s.a))),
             trace_lambda(lambda r: r.x > 1),
         )
-        stripped, staged = split_staging(plan)
-        assert isinstance(stripped, Filter)
+        staged, peeled = _staging_from_ir(lower_plan(plan))
+        assert peeled == {0: 0}
         assert staged[0].predicates == ()
 
     def test_whole_element_beyond_boundary_rejected(self):
-        plan = Project(SCAN, trace_lambda(lambda s: s))
+        ir = lower_plan(Project(SCAN, trace_lambda(lambda s: s)))
+        assert ir.staging_fields == {0: None}
         with pytest.raises(UnsupportedQueryError, match="whole elements"):
-            split_staging(plan)
+            _staging_from_ir(ir)
 
     def test_staged_schema_from_struct_array(self):
         schema = Schema([Field("a", "int"), Field("b", "float")], name="T")

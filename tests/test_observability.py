@@ -612,7 +612,6 @@ class TestExplainAnalyze:
                 "query.canonicalize",
                 "query.cache_lookup",
                 "query.optimize",
-                "query.validate",
                 "codegen.generate",
                 "codegen.compile_source",
                 "query.compile",

@@ -17,7 +17,6 @@ from repro.plans import (
     TopN,
 )
 from repro.relational import (
-    Catalog,
     CompiledExecutor,
     VBatch,
     VectorizedExecutor,
@@ -101,25 +100,6 @@ class TestExecutors:
         )
         with pytest.raises(ExecutionError):
             executor.execute_scalar(plan, sources_for(executor, items), {})
-
-
-class TestCatalog:
-    def test_register_and_views(self, items):
-        catalog = Catalog()
-        catalog.register("item", items)
-        assert catalog.names() == ["item"]
-        assert len(catalog.objects("item")) == 4
-        assert len(catalog.columns("item")) == 4
-        assert catalog.table("item") is items
-
-    def test_unknown_table(self):
-        with pytest.raises(ExecutionError, match="unknown table"):
-            Catalog().table("nope")
-
-    def test_for_tpch(self):
-        catalog = Catalog.for_tpch(TPCHData(scale=0.002))
-        assert "lineitem" in catalog.names()
-        assert len(catalog.names()) == 8
 
 
 class TestVecEval:

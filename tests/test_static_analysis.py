@@ -17,6 +17,8 @@ import repro.analysis.effects as effects_module
 import repro.codegen.compiler as compiler_module
 from repro.analysis.effects import analyze_callable
 from repro.codegen.compiler import compile_source
+from repro.codegen.hybrid_backend import HybridBackend
+from repro.codegen.native_backend import NativeBackend
 from repro.codegen.verifier import (
     SAFE_BUILTINS,
     check_generated,
@@ -241,7 +243,6 @@ class TestAnalysisCaching:
         )
         compiled = provider.compile_info(q.expr, q.sources, "compiled")
         assert compiled.analysis is not None
-        assert compiled.capability is not None and compiled.capability.supported
         assert compiled.verifier_report is not None
         assert compiled.verifier_report.ok
 
@@ -377,6 +378,113 @@ class TestCompileGate:
             compile_source("def execute(sources, _params:\n  pass", {})
 
 
+def _array(engine, provider):
+    return from_struct_array(make_array()).using(engine, provider)
+
+
+def _objects(engine, provider, token="t:refusal"):
+    items = [Obj(1, "aa", 1.5), Obj(2, "bb", 2.5)]
+    return from_iterable(items, token=token).using(engine, provider)
+
+
+def _filter_over_projection(provider):
+    return (
+        _objects("hybrid_min", provider)
+        .select(lambda s: new(k=s.k, w=s.v * 2))
+        .where(lambda r: r.w > 1.0)
+        .order_by(lambda r: r.k)
+    )
+
+
+_OUTSIDE_FRAGMENT = (
+    "plan node {} is outside the native fragment (§5 restrictions); "
+    "use the compiled engine"
+)
+
+#: one query per engine restriction, with the exact refusal text users
+#: see — the provider passes on the compiling backend's own
+REFUSALS = {
+    "native-object-list": (
+        "native",
+        lambda p: _objects("native", p).where(lambda s: s.v > 1.0),
+        "the native engine requires StructArray sources; source_0 is list "
+        "(use the compiled or hybrid engine for object collections)",
+    ),
+    "native-select-many": (
+        "native",
+        lambda p: _array("native", p).select_many(lambda s: [s.k, s.k]),
+        _OUTSIDE_FRAGMENT.format("FlatMap"),
+    ),
+    "native-group-by": (
+        "native",
+        lambda p: _array("native", p).group_by(lambda s: s.k),
+        _OUTSIDE_FRAGMENT.format("GroupBy"),
+    ),
+    "native-nested-member": (
+        "native",
+        lambda p: _array("native", p).select(lambda s: s.d.year),
+        "nested member access 'year' is not representable in the flat "
+        "native layout (the §5 'no references' rule)",
+    ),
+    "native-whole-record": (
+        "native",
+        lambda p: _array("native", p).select(lambda r: new(a=r, b=r.k)),
+        "native code cannot manipulate whole records as values; access "
+        "their fields instead (the §5 'no references' rule)",
+    ),
+    "native-join-whole-record": (
+        "native",
+        lambda p: _array("native", p).join(
+            _array("native", p),
+            lambda a: a.k,
+            lambda b: b.k,
+            lambda a, b: new(a=a, v=b.v),
+        ),
+        "native join results cannot embed whole input records (the §5 "
+        "'no references' rule); project explicit fields",
+    ),
+    "hybrid-whole-element": (
+        "hybrid",
+        lambda p: _objects("hybrid", p).select(lambda r: new(a=r, b=r.k)),
+        "the query uses whole elements of source_0 beyond the staging "
+        "boundary; the hybrid engine requires flat field access (use the "
+        "compiled engine)",
+    ),
+    "hybrid-group-by": (
+        "hybrid",
+        lambda p: _objects("hybrid", p).group_by(lambda s: s.k),
+        _OUTSIDE_FRAGMENT.format("GroupBy"),
+    ),
+    "min-group-by": (
+        "hybrid_min",
+        lambda p: _array("hybrid_min", p).group_by(
+            lambda s: s.k, lambda g: new(k=g.key, n=g.count())
+        ),
+        "Min staging only supports a single sort/top-N or inner join as the "
+        "native operation (the paper's §7.4 restriction); use the Max "
+        "variant for complex queries",
+    ),
+    "min-filter-over-projection": (
+        "hybrid_min",
+        _filter_over_projection,
+        "Min staging only supports (filtered) scans and joins below the "
+        "native operator",
+    ),
+    "min-left-outer-join": (
+        "hybrid_min",
+        lambda p: _objects("hybrid_min", p).left_outer_join(
+            _objects("hybrid_min", p, token="t:inner"),
+            lambda a: a.k,
+            lambda b: b.k,
+            lambda a, b: new(k=a.k, v=b.v),
+            {"k": 0, "v": 0.0},
+        ),
+        "Min staging only supports inner joins, not left joins; use the Max "
+        "variant",
+    ),
+}
+
+
 class TestCapabilityReports:
     def test_provider_uses_capability_for_native_sources(self):
         items = [Obj(1, "aa", 1.5)]
@@ -395,17 +503,25 @@ class TestCapabilityReports:
         with pytest.raises(UnsupportedQueryError, match="Min staging"):
             q.to_list()
 
-    def test_supported_plan_reports_clean(self):
+    @pytest.mark.parametrize(
+        "engine, build, message",
+        [pytest.param(*case, id=case_id) for case_id, case in REFUSALS.items()],
+    )
+    def test_provider_refusal_is_the_backends(self, engine, build, message):
         provider = QueryProvider()
-        q = (
-            from_struct_array(make_array())
-            .using("native", provider)
-            .where(lambda s: s.v > 1.0)
+        q = build(provider)
+        with pytest.raises(UnsupportedQueryError) as through_provider:
+            q.to_list()
+        sources = list(q.sources)
+        plan = provider.shape(q.expr, sources).plan()
+        backend = (
+            NativeBackend()
+            if engine == "native"
+            else HybridBackend(minimal=engine == "hybrid_min")
         )
-        compiled = provider.compile_info(q.expr, q.sources, "native")
-        assert compiled.capability.engine == "native"
-        assert compiled.capability.supported
-        assert compiled.capability.describe().startswith("engine 'native'")
+        with pytest.raises(UnsupportedQueryError) as direct:
+            backend.compile(plan, sources)
+        assert str(through_provider.value) == str(direct.value) == message
 
 
 class TestInferredKinds:
