@@ -21,7 +21,7 @@ from repro.query import QueryProvider, from_struct_array
 from repro.query.recycler import RecyclingProvider
 from repro.tpch import relation_query
 
-from conftest import drain, write_report
+from conftest import Pinned, drain, write_report
 
 
 # -- TopN fusion -----------------------------------------------------------------
@@ -46,26 +46,17 @@ def test_ablation_topn_fusion(benchmark, data, fused):
 def test_ablation_buffer_page_size(benchmark, data, page_kb):
     from repro.codegen.hybrid_backend import HybridBackend
     from repro.expressions.builder import trace_lambda
-    from repro.expressions.canonical import canonicalize
     from repro.expressions.nodes import QueryOp
-    from repro.plans import optimize, translate
 
-    filtered = relation_query(data, "lineitem", "hybrid_buffered").where(
+    filtered = relation_query(data, "lineitem", "hybrid").where(
         lambda l: l.l_quantity <= 40.0
     )
     expr = QueryOp(
         "sum", filtered.expr, (trace_lambda(lambda l: l.l_extendedprice),)
     )
-    canonical = canonicalize(expr)
-    plan = optimize(translate(canonical.tree))
     backend = HybridBackend(buffered=True, page_bytes=page_kb * 1024)
-    compiled = backend.compile(plan, list(filtered.sources))
-    params = dict(canonical.bindings)
-
-    def run():
-        return compiled.execute(list(filtered.sources), params)
-
-    benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
+    pinned = Pinned(QueryProvider(), expr, filtered.sources, backend)
+    benchmark.pedantic(pinned.run, rounds=3, iterations=1, warmup_rounds=1)
 
 
 # -- hash index ----------------------------------------------------------------------

@@ -11,12 +11,14 @@ import time
 
 import pytest
 
-from repro.query import QueryCache, QueryProvider
+from repro.codegen.hybrid_backend import HybridBackend
+from repro.query import ENGINES, QueryCache, QueryProvider
 from repro.tpch import q1, q3
 
-from conftest import write_report
+from conftest import PINNED_HYBRIDS, Pinned, write_report
 
-CODEGEN_ENGINES = ("compiled", "native", "hybrid", "hybrid_buffered")
+#: every code-generating engine, plus the pinned buffered-Max hybrid
+CODEGEN_ENGINES = ENGINES[1:] + ("hybrid:buffered",)
 
 
 def _fresh_provider() -> QueryProvider:
@@ -28,12 +30,23 @@ def test_compile_cost_q1(benchmark, data, engine):
     """Time one cold compile (canonicalize + translate + codegen + exec)."""
 
     def compile_cold():
-        provider = _fresh_provider()
-        query = q1(data, engine, provider)
-        return provider.compile_info(query.expr, list(query.sources), engine)
+        return _compile(_build(q1, data, engine, _fresh_provider()), engine)
 
     info = benchmark.pedantic(compile_cold, rounds=3, iterations=1)
     assert info.source_code
+
+
+def _build(builder, data, column, provider):
+    return builder(data, "hybrid" if column in PINNED_HYBRIDS else column, provider)
+
+
+def _compile(query, column):
+    """Compile *query* for *column*: an engine, or a pinned hybrid policy."""
+    policy = PINNED_HYBRIDS.get(column)
+    if policy is None:
+        return query.provider.compile_info(query.expr, list(query.sources), column)
+    backend = HybridBackend(**policy)
+    return Pinned(query.provider, query.expr, query.sources, backend).compiled
 
 
 def test_cache_hit_fast_path(benchmark, data):
@@ -58,19 +71,21 @@ def test_compile_cost_report(benchmark, data, results_dir):
         ]
         for builder, name in ((q1, "Q1"), (q3, "Q3")):
             for engine in CODEGEN_ENGINES:
-                provider = _fresh_provider()
-                query = builder(data, engine, provider)
+                query = _build(builder, data, engine, _fresh_provider())
                 started = time.perf_counter()
-                info = provider.compile_info(query.expr, list(query.sources), engine)
+                info = _compile(query, engine)
                 cold = time.perf_counter() - started
-                started = time.perf_counter()
-                provider.compile_info(query.expr, list(query.sources), engine)
-                hit = time.perf_counter() - started
+                if engine in PINNED_HYBRIDS:
+                    hit_text = "uncached"  # a pinned policy bypasses the cache
+                else:
+                    started = time.perf_counter()
+                    _compile(query, engine)
+                    hit_text = f"{(time.perf_counter() - started) * 1e6:.1f}µs"
                 lines.append(
                     f"{engine:18s} {name:>5s} "
                     f"{info.codegen_seconds * 1e3:>8.2f}ms "
                     f"{info.compile_seconds * 1e3:>8.2f}ms "
-                    f"{cold * 1e3:>9.2f}ms {hit * 1e6:>8.1f}µs"
+                    f"{cold * 1e3:>9.2f}ms {hit_text:>10s}"
                 )
         lines.append("")
         lines.append(

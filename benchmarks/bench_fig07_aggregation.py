@@ -14,9 +14,9 @@ import pytest
 
 from repro.tpch import aggregation_micro
 
-from conftest import drain, write_report
+from conftest import column_query, drain, write_report
 
-ENGINES = ("linq", "compiled", "native", "hybrid", "hybrid_buffered")
+ENGINES = ("linq", "compiled", "native", "hybrid", "hybrid:buffered")
 SWEEP = tuple(round(0.1 * i, 1) for i in range(1, 11))
 SPOT_SELECTIVITIES = (0.2, 0.6, 1.0)
 
@@ -24,7 +24,7 @@ SPOT_SELECTIVITIES = (0.2, 0.6, 1.0)
 @pytest.mark.parametrize("selectivity", SPOT_SELECTIVITIES)
 @pytest.mark.parametrize("engine", ENGINES)
 def test_fig07_aggregation(benchmark, data, provider, engine, selectivity):
-    query = aggregation_micro(data, engine, selectivity, provider)
+    query = column_query(aggregation_micro, data, engine, selectivity, provider)
     benchmark.pedantic(drain, args=(query,), rounds=3, iterations=1, warmup_rounds=1)
 
 
@@ -39,7 +39,9 @@ def test_fig07_report(benchmark, data, provider, results_dir):
         for selectivity in SWEEP:
             cells = []
             for engine in ENGINES:
-                query = aggregation_micro(data, engine, selectivity, provider)
+                query = column_query(
+                    aggregation_micro, data, engine, selectivity, provider
+                )
                 drain(query)  # warm the query cache / compile once
                 started = time.perf_counter()
                 drain(query)
@@ -74,7 +76,9 @@ def test_fig07_elision_report(benchmark, data, provider, results_dir, monkeypatc
             for selectivity in SPOT_SELECTIVITIES:
                 cells = []
                 for engine in ENGINES:
-                    query = aggregation_micro(data, engine, selectivity, provider)
+                    query = column_query(
+                        aggregation_micro, data, engine, selectivity, provider
+                    )
                     drain(query)  # warm: compile under this elision setting
                     # sub-2ms cells at smoke scale: a single drain is all
                     # timer noise, so each cell is a median of five

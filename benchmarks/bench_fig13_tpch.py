@@ -14,9 +14,9 @@ import pytest
 
 from repro.tpch import q1, q2, q3, q4
 
-from conftest import drain, write_report
+from conftest import column_query, drain, write_report
 
-ENGINES = ("linq", "compiled", "native", "hybrid", "hybrid_buffered")
+ENGINES = ("linq", "compiled", "native", "hybrid", "hybrid:buffered")
 # Q4 extends the paper's figure: the semi-join (EXISTS) probe exercises
 # the join/set-operation surface the conformance suite proves
 QUERIES = {"Q1": q1, "Q2": q2, "Q3": q3, "Q4": q4}
@@ -25,7 +25,7 @@ QUERIES = {"Q1": q1, "Q2": q2, "Q3": q3, "Q4": q4}
 @pytest.mark.parametrize("query_name", tuple(QUERIES))
 @pytest.mark.parametrize("engine", ENGINES)
 def test_fig13_tpch(benchmark, data, provider, engine, query_name):
-    query = QUERIES[query_name](data, engine, provider)
+    query = column_query(QUERIES[query_name], data, engine, provider)
     benchmark.pedantic(drain, args=(query,), rounds=3, iterations=1, warmup_rounds=1)
 
 
@@ -39,7 +39,7 @@ def test_fig13_report(benchmark, data, provider, results_dir):
         for name, builder in QUERIES.items():
             times = {}
             for engine in ENGINES:
-                query = builder(data, engine, provider)
+                query = column_query(builder, data, engine, provider)
                 drain(query)
                 started = time.perf_counter()
                 drain(query)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.profiling import (
+    ENGINE_LABELS,
     proportional_hierarchy,
     q1_trace,
     q2_trace,
@@ -28,7 +29,8 @@ from repro.tpch import Q1_DEFAULTS, Q3_DEFAULTS
 
 from conftest import tpch_scale, write_report
 
-ENGINES = ("linq", "compiled", "native", "hybrid", "hybrid_buffered")
+#: the engine variants the memory model traces (one is the buffered hybrid)
+ENGINES = ENGINE_LABELS
 
 
 def _q1_counts(data):

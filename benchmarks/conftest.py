@@ -18,6 +18,7 @@ import pathlib
 
 import pytest
 
+from repro.codegen.hybrid_backend import HybridBackend
 from repro.query import QueryProvider
 from repro.tpch import TPCHData
 
@@ -58,3 +59,44 @@ def drain(query) -> int:
     for _ in query:
         count += 1
     return count
+
+
+#: figure columns that pin one of the paper's hybrid policies (§6) instead
+#: of letting the hybrid backend's Min/Max rule choose: label → arguments
+PINNED_HYBRIDS = {
+    "hybrid:buffered": {"buffered": True},  # Max, page-by-page staging
+    "hybrid:min": {"minimal": True},  # Min, full staging
+}
+
+
+class Pinned:
+    """One query compiled with an explicit backend: the provider's compile
+    body (``Shape.compile_with``), uncached.  Iterating runs the artifact."""
+
+    def __init__(self, provider, expr, sources, backend, params=None):
+        shape = provider.shape(expr, list(sources))
+        self.compiled = shape.compile_with(backend)
+        self.sources = shape.sources
+        self.params = {**shape.bindings, **(params or {})}
+
+    def run(self):
+        return self.compiled.execute(self.sources, self.params)
+
+    def __iter__(self):
+        return iter(self.run())
+
+
+def column_query(builder, data, column, *args):
+    """One figure column's query.
+
+    An engine name builds through the provider as usual; a
+    :data:`PINNED_HYBRIDS` label builds the ``hybrid`` query and compiles
+    it with that policy's backend.
+    """
+    policy = PINNED_HYBRIDS.get(column)
+    if policy is None:
+        return builder(data, column, *args)
+    query = builder(data, "hybrid", *args)
+    return Pinned(
+        query.provider, query.expr, query.sources, HybridBackend(**policy), query.params
+    )

@@ -10,10 +10,8 @@ miniature of the paper's §7 evaluation.
 import sys
 import time
 
-from repro.query import QueryProvider
+from repro.query import ENGINES, QueryProvider
 from repro.tpch import TPCHData, q1, q2, q3
-
-ENGINES = ("linq", "compiled", "native", "hybrid", "hybrid_buffered")
 
 
 def _digest(rows):

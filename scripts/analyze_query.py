@@ -34,6 +34,7 @@ from repro import new  # noqa: E402
 from repro.codegen.verifier import check_facts  # noqa: E402
 from repro.errors import GeneratedCodeViolation  # noqa: E402
 from repro.query import (  # noqa: E402
+    ENGINES,
     QueryProvider,
     from_iterable,
     from_struct_array,
@@ -231,7 +232,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--engine",
-        choices=("compiled", "native", "hybrid", "hybrid_buffered"),
+        choices=ENGINES[1:],
         default="compiled",
         help="codegen engine to analyze (default: compiled)",
     )

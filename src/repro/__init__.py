@@ -12,7 +12,7 @@ Public surface (stable):
 * :func:`~repro.expressions.builder.P`, :func:`~repro.expressions.builder.new`,
   :func:`~repro.expressions.builder.if_then_else` — query-building helpers;
 * the engine registry in :mod:`repro.query.provider` (``linq``,
-  ``compiled``, ``native``, ``hybrid``, ``hybrid_buffered``);
+  ``compiled``, ``native``, ``hybrid``);
 * :class:`~repro.storage.struct_array.StructArray` — the array-of-structs
   row store that unlocks the native engine.
 """

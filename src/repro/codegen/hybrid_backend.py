@@ -29,16 +29,17 @@ Materialization policy (paper §6.1):
   exactly the paper's concession that "we would rather copy everything to
   unmanaged memory before processing it in C".
 
-Result construction policy:
+Result construction policy (paper §6), chosen by rule:
 
-* ``minimal=False`` (**Max**) → everything needed to build results is
-  copied; results are decoded from native arrays.
-* ``minimal=True`` (**Min**) → only keys (plus row indexes) cross into
-  native memory; the original objects are retained managed-side and
-  results are built from them after the native kernel returns.  As in the
-  paper, Min only exists for single-core-operator queries (sort / top-N /
-  one join); anything else raises
-  :class:`~repro.errors.UnsupportedQueryError`.
+* **Max** → everything needed to build results is copied; results are
+  decoded from native arrays.  The default.
+* **Min** → only keys (plus row indexes) cross into native memory; the
+  original objects are retained managed-side and results are built from
+  them.  Built when whole source elements cross the staging boundary
+  (which Max cannot stage) and the plan is one sort / top-N or an
+  inner-join tree over filtered scans (§7.4); otherwise Max's refusal
+  stands.  Min never buffers and emits no morsel-parameterized kernels.
+  ``minimal=True`` pins it.
 """
 
 from __future__ import annotations
@@ -106,6 +107,8 @@ def _enc_str(value: str, width: int) -> bytes:
 class HybridBackend:
     """Compiles a plan into staged-managed + vectorized-native code."""
 
+    name = "hybrid"
+
     def __init__(
         self,
         buffered: bool = False,
@@ -116,15 +119,6 @@ class HybridBackend:
         self.minimal = minimal
         self.page_bytes = page_bytes
 
-    @property
-    def name(self) -> str:
-        parts = ["hybrid"]
-        if self.minimal:
-            parts.append("min")
-        if self.buffered:
-            parts.append("buffered")
-        return "_".join(parts)
-
     def compile(
         self,
         plan: Plan,
@@ -133,27 +127,8 @@ class HybridBackend:
         ir: Optional[QueryIR] = None,
     ) -> CompiledQuery:
         with TRACER.span("codegen.generate", engine=self.name), timed() as gen_time:
-            if self.minimal:
-                if morsel_ordinal is not None:
-                    raise UnsupportedQueryError(
-                        "the minimal hybrid engines do not emit "
-                        "morsel-parameterized kernels"
-                    )
-                emitter = _MinEmitter(self.page_bytes, self.buffered)
-                source_code, namespace, scalar = emitter.emit_module(plan, sources)
-            else:
-                if ir is None:
-                    ir = lower_plan(plan, morsel_ordinal=morsel_ordinal)
-                if ir.facts is None:
-                    ir.facts = analyze_ir(ir)
-                staged, peeled = _staging_from_ir(ir)
-                for ordinal, spec in staged.items():
-                    if spec.fields:  # field-less sources only stage a count
-                        spec.schema = staged_schema_for(sources[ordinal], spec)
-                emitter = _HybridEmitter(
-                    staged, peeled, self.buffered, self.page_bytes, ir
-                )
-                source_code, namespace, scalar = emitter.emit_module()
+            minimal, module = self._emit(plan, sources, morsel_ordinal, ir)
+        source_code, namespace, scalar = module
         entry, compile_seconds = compile_source(source_code, namespace)
         return CompiledQuery(
             source_code=source_code,
@@ -162,7 +137,53 @@ class HybridBackend:
             codegen_seconds=gen_time.seconds,
             compile_seconds=compile_seconds,
             scalar=scalar,
+            minimal=minimal,
         )
+
+    def _emit(
+        self,
+        plan: Plan,
+        sources: Sequence[Any],
+        morsel_ordinal: Optional[int],
+        ir: Optional[QueryIR],
+    ) -> Tuple[bool, Tuple[str, Dict[str, Any], bool]]:
+        """(built with Min?, module): Max, unless Min is pinned or whole
+        elements cross the staging boundary — then Min, and a plan Min
+        refuses keeps Max's refusal."""
+        max_refusal = None
+        if not self.minimal:
+            if ir is None:
+                ir = lower_plan(plan, morsel_ordinal=morsel_ordinal)
+            if ir.facts is None:
+                ir.facts = analyze_ir(ir)
+            try:
+                staged, peeled = _staging_from_ir(ir)
+            except _WholeElements as whole:
+                max_refusal = str(whole)  # Min ships only the elements' keys
+            else:
+                for ordinal, spec in staged.items():
+                    if spec.fields:  # field-less sources only stage a count
+                        spec.schema = staged_schema_for(sources[ordinal], spec)
+                emitter = _HybridEmitter(
+                    staged, peeled, self.buffered, self.page_bytes, ir
+                )
+                return False, emitter.emit_module()
+        if morsel_ordinal is not None:
+            raise UnsupportedQueryError(
+                "the minimal hybrid engines do not emit "
+                "morsel-parameterized kernels"
+            )
+        try:
+            return True, _MinEmitter().emit_module(plan, sources)
+        except UnsupportedQueryError:
+            if max_refusal is None:
+                raise
+            raise UnsupportedQueryError(max_refusal) from None
+
+
+class _WholeElements(UnsupportedQueryError):
+    """Max's refusal of a source whose whole elements cross the staging
+    boundary — the one refusal the Min/Max rule answers with Min."""
 
 
 def _staging_from_ir(
@@ -199,7 +220,7 @@ def _staging_from_ir(
         ordinal = pipeline.driver.ordinal
         fields = ir.staging_fields.get(ordinal, set())
         if fields is None:
-            raise UnsupportedQueryError(
+            raise _WholeElements(
                 f"the query uses whole elements of source_{ordinal} beyond "
                 f"the staging boundary; the hybrid engine requires flat "
                 f"field access (use the compiled engine)"
@@ -214,7 +235,7 @@ def _staging_from_ir(
 
 
 # ---------------------------------------------------------------------------
-# Max variants (full + buffered)
+# Max (full + buffered)
 # ---------------------------------------------------------------------------
 
 
@@ -782,16 +803,14 @@ def _find_stream_target(
 
 
 # ---------------------------------------------------------------------------
-# Min variant — ship keys and indexes only, build results from objects
+# Min — ship keys and indexes only, build results from objects
 # ---------------------------------------------------------------------------
 
 
 class _MinEmitter:
     """Generates the Min-staging program for the supported plan shapes."""
 
-    def __init__(self, page_bytes: int, buffered: bool):
-        self.page_bytes = page_bytes
-        self.buffered = buffered
+    def __init__(self):
         self.writer = SourceWriter()
         self.namespace: Dict[str, Any] = {}
         self._param_names: Dict[str, str] = {}
@@ -859,7 +878,6 @@ class _MinEmitter:
             _sort_indexes=_vec.sort_indexes,
             _topn_indexes=_vec.topn_indexes,
             _hash_join=_vec.hash_join_indexes,
-            _StreamingJoinProbe=StreamingJoinProbe,
             _native_key=_native_key,
             _cancel_check=cancel_check,
         )

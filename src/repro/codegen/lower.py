@@ -72,7 +72,6 @@ from .ir import (
 __all__ = [
     "lower_plan",
     "decide_parallel",
-    "hybrid_placements",
     "ParallelSplit",
     "PARALLEL_MERGEABLE_AGGREGATES",
 ]
@@ -557,26 +556,3 @@ def _driver_ordinal(node: Plan) -> int:
     while not isinstance(node, Scan):
         node = node.left if isinstance(node, (Join, SetOp)) else node.child
     return node.ordinal
-
-
-# ---------------------------------------------------------------------------
-# Hybrid placement assignment (used by the hybrid backend and EXPLAIN)
-# ---------------------------------------------------------------------------
-
-
-def hybrid_placements(ir: QueryIR) -> Dict[int, str]:
-    """Per-pipeline managed/native placement for the hybrid engine (§6).
-
-    Scan-driven pipelines start managed: their driver is the staging loop
-    copying objects into native memory (scan-adjacent predicates run
-    managed-side), while the fused operator chain runs over staged
-    arrays.  Breaker-driven pipelines consume already-native
-    intermediates and stay native end to end.
-    """
-    placements: Dict[int, str] = {}
-    for pipeline in ir.pipelines:
-        if isinstance(pipeline.driver, Scan):
-            placements[pipeline.pid] = "managed staging -> native"
-        else:
-            placements[pipeline.pid] = "native"
-    return placements

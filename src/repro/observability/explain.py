@@ -24,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..codegen.lower import hybrid_placements
 from ..errors import UnsupportedQueryError
 from ..options import NO_OPTIONS, ExecutionOptions, env
-from ..plans.logical import plan_to_text
+from ..plans.logical import Scan, plan_to_text
 from ..query.provider import LINQ_PLAN, Tier
 from .metrics import METRICS
 from .tracer import TRACER, SpanRecord
@@ -45,6 +44,9 @@ _NO_WORKERS = (
     "sequential (workers=1; request workers with in_parallel(n), "
     "using(parallelism=n) or REPRO_PARALLELISM)"
 )
+
+#: how a hybrid artifact built with Min result construction reads
+_MIN_NOTE = "Min: only keys and row indexes cross; rows are the source objects"
 
 #: canonical lifecycle ordering for the phase table; unknown span names
 #: sort after these, by first appearance
@@ -97,27 +99,23 @@ def _eligible(tier: Tier) -> str:
 
 
 def _pipeline_section(
-    shape: Any, engine: str
+    shape: Any, engine: str, minimal: bool
 ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     """Render the pipeline schedule of the shared IR, one line per
     pipeline (id, driver, fused operators, sink breaker), plus the
-    dataflow-fact lines; the hybrid engines additionally show each
-    pipeline's managed/native placement."""
+    dataflow-fact lines; a hybrid built with Max additionally shows each
+    pipeline's placement: scan-driven pipelines start in the managed
+    staging loop, breaker-driven ones run native end to end."""
     try:
         ir = shape.ir()
     except UnsupportedQueryError:
         return (), ()
-    placements: Dict[int, str] = (
-        hybrid_placements(ir)
-        if engine in ("hybrid", "hybrid_buffered")
-        else {}
-    )
     lines = []
     for pipeline in ir.pipelines:
         text = f"p{pipeline.pid}: {pipeline.describe()}"
-        placement = placements.get(pipeline.pid)
-        if placement is not None:
-            text += f" [{placement}]"
+        if engine == "hybrid" and not minimal:
+            staged = isinstance(pipeline.driver, Scan)
+            text += " [managed staging -> native]" if staged else " [native]"
         lines.append(text)
     try:
         facts_lines = tuple(shape.facts().render_lines(env("REPRO_GUARD_ELISION")))
@@ -140,10 +138,14 @@ class ExplainReport:
     adaptive: str = ""
     #: multi-process decision; empty = nobody requested distribution
     distributed: str = ""
+    #: the artifact was built with Min result construction (hybrid, §6)
+    minimal: bool = False
 
     def render(self) -> str:
         lines = [self.plan_text.rstrip("\n")]
         lines.append(f"engine: {self.engine}")
+        if self.minimal:
+            lines[-1] += f" ({_MIN_NOTE})"
         if self.supported:
             lines.append("capability: supported")
         else:
@@ -193,11 +195,11 @@ def explain_report(
         )
     shape = provider.shape(expr, sources)
     try:
-        shape.compiled(engine)
+        minimal = shape.compiled(engine).minimal
         refusal = ""
     except UnsupportedQueryError as exc:
-        refusal = str(exc)
-    pipelines, facts = _pipeline_section(shape, engine)
+        minimal, refusal = False, str(exc)
+    pipelines, facts = _pipeline_section(shape, engine, minimal)
     options = options.resolved()
     # EXPLAIN is a dry run: the decision is peeked, never explored
     decision = provider.peek_decision(shape, engine, options.adaptive)
@@ -233,6 +235,7 @@ def explain_report(
         parallel=parallel,
         adaptive=decision.describe() if decision is not None else "",
         distributed=distributed,
+        minimal=minimal,
     )
 
 

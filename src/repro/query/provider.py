@@ -45,7 +45,7 @@ from ..storage.struct_array import StructArray
 from ..runtime.parallel import source_length
 from .cache import QueryCache
 from .enumerable import enumerate_query, scalar_query
-from .shape import ENGINES, PARALLEL_ENGINES, Shape
+from .shape import ENGINES, Shape
 
 __all__ = [
     "QueryProvider",
@@ -54,7 +54,6 @@ __all__ = [
     "pin_sources",
     "ENGINES",
     "LINQ_PLAN",
-    "PARALLEL_ENGINES",
 ]
 
 #: what the interpreted baseline shows where the other engines show a plan
@@ -456,14 +455,14 @@ def _adaptive_controller(
 def _candidate_engines(engine: str, sources: List[Any]) -> tuple:
     """Engines the chooser may pick for these sources.
 
-    The requested engine always leads; the other morsel-capable engines
-    follow (native only when every source is a StructArray — its scans
-    read native buffers directly).
+    The requested engine always leads; the other compiling engines follow
+    (native only when every source is a StructArray — its scans read
+    native buffers directly).
     """
     native_ok = all(isinstance(s, StructArray) for s in sources)
     return (engine,) + tuple(
         alternative
-        for alternative in PARALLEL_ENGINES
+        for alternative in ENGINES[1:]
         if alternative != engine and (alternative != "native" or native_ok)
     )
 

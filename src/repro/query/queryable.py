@@ -15,8 +15,9 @@ engine             paper analogue
 ``linq``           LINQ-to-objects: interpreted operator-at-a-time pipeline
 ``compiled``       §4  generated host-language (Python) code
 ``native``         §5  generated vectorized code over arrays of structs
-``hybrid``         §6.1.1  staged to native buffers, full materialization
-``hybrid_buffered``§6.1.2  staged page-by-page, fixed footprint
+``hybrid``         §6  managed staging into native buffers; the backend
+                   picks Max (stage fields) or Min (stage keys, return the
+                   source objects) from the plan
 =================  ===========================================================
 
 Wrapping a collection (``QList``, :func:`from_iterable`,
@@ -151,6 +152,9 @@ class Query:
         ``REPRO_DISTRIBUTED`` is on.  Queries outside the distributable
         fragment fall back to thread/sequential execution unchanged.
         """
+        # the retired Min spelling, still passed by the whole-element sort
+        # cell at benchmarks/lifecycle/tpch_cells.py:67; the rule builds Min
+        engine = "hybrid" if engine == "hybrid_min" else engine
         options = ExecutionOptions(parallelism, None, adaptive, distributed, trace)
         return self._replace(
             engine=engine,

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from ..analysis import analyze_ir
 from ..codegen.compiler import CompiledQuery
+from ..codegen.hybrid_backend import HybridBackend
 from ..codegen.ir import QueryIR
 from ..codegen.lower import (
     ParallelSplit,
@@ -26,6 +27,8 @@ from ..codegen.lower import (
     decide_parallel,
     lower_plan,
 )
+from ..codegen.native_backend import NativeBackend
+from ..codegen.python_backend import PythonBackend
 from ..codegen.verifier import check_facts, check_ir
 from ..errors import DistributedError, UnsupportedQueryError
 from ..expressions.canonical import CanonicalQuery
@@ -41,24 +44,11 @@ from ..runtime.parallel import build_parallel_query
 if TYPE_CHECKING:
     from .provider import QueryProvider
 
-__all__ = ["ENGINES", "PARALLEL_ENGINES", "Shape", "ShapeRecord"]
+__all__ = ["ENGINES", "Shape", "ShapeRecord"]
 
-#: all execution strategies, in the order the paper presents them
-ENGINES = (
-    "linq",
-    "compiled",
-    "native",
-    "hybrid",
-    "hybrid_buffered",
-    "hybrid_min",
-    "hybrid_min_buffered",
-)
-
-#: engines whose backends emit morsel-parameterized kernels — which is
-#: also what a shard task of the process tier runs; linq stays the
-#: interpreted yardstick and the Min hybrids retain whole-source object
-#: identity, so both always run inline
-PARALLEL_ENGINES = ("compiled", "native", "hybrid", "hybrid_buffered")
+#: all execution strategies, in the order the paper presents them; every
+#: one after the interpreted ``linq`` baseline compiles through a backend
+ENGINES = ("linq", "compiled", "native", "hybrid")
 
 
 class ShapeRecord:
@@ -336,25 +326,33 @@ class Shape:
         return compiled
 
     def _compile(self, engine: str) -> Tuple[CompiledQuery, bool]:
-        """(artifact, was it resident) — called under the record's lock.
-
-        Expression typing raises :class:`~repro.errors.QueryAnalysisError`
-        for ill-typed queries before any plan exists; after that the
-        backend is the one judge of its engine's fragment, and its
-        :class:`~repro.errors.UnsupportedQueryError` is the refusal.
-        """
-        analysis = self.analysis()
-        plan = self.plan()
+        """(artifact, was it resident) — called under the record's lock."""
+        self.analysis()  # an ill-typed query fails before any plan exists
         backend = _make_backend(engine)  # raises for unknown engines
         key = self._artifact_key(engine, "sequential")
         cache = self._provider.cache
         compiled = cache.find(self.record, key)
         if compiled is not None:
             return compiled, True
+        compiled = self.compile_with(backend)
+        cache.admit(self.record, key, compiled)
+        return compiled, False
+
+    def compile_with(self, backend: Any) -> CompiledQuery:
+        """Compile this shape with *backend*, uncached — the one compile
+        body, which :meth:`compiled` caches.  The backend is the one judge
+        of its fragment: its :class:`~repro.errors.UnsupportedQueryError`
+        is the refusal."""
+        # read, not re-run: _compile analysed first (one counted lookup)
+        analysis = self.record.analysis
+        if analysis is None:
+            analysis = self.analysis()
+        plan = self.plan()
         # the record's IR is shared across binding sets whose facts
         # differ, so the facts ride on a per-compilation shallow copy
         ir = copy.copy(self.ir())
         ir.facts = self.facts()
+        engine = backend.name
         with TRACER.span("query.compile", engine=engine) as span:
             compiled = backend.compile(plan, self.sources, ir=ir)
             span.set(
@@ -369,15 +367,13 @@ class Shape:
             compiled.compile_seconds
         )
         compiled.plan_text = plan_to_text(plan)
-        compiled.engine = engine
         compiled.analysis = analysis
         # the AST verifier ran inside compile_source; recover its report
         if compiled.verifier_report is None and compiled.fn is not None:
             compiled.verifier_report = getattr(
                 compiled.fn, "__globals__", {}
             ).get("__verifier_report__")
-        cache.admit(self.record, key, compiled)
-        return compiled, False
+        return compiled
 
     def partial(self, engine: str, kind: str) -> Optional[Any]:
         """The partial-kernel artifact for tier *kind* — a
@@ -408,9 +404,6 @@ class Shape:
 
     def _build_partial(self, engine: str, kind: str, key: tuple) -> Optional[Any]:
         record = self.record
-        if engine not in PARALLEL_ENGINES:
-            record.refusals[key] = f"engine {engine!r} emits no morsel kernels"
-            return None
         split = self.split(kind)
         if not split.parallel:
             record.refusals[key] = (
@@ -464,22 +457,18 @@ class Shape:
         return artifact
 
 
+#: engine name → backend class, for every engine that compiles
+_BACKENDS = {
+    "compiled": PythonBackend,
+    "native": NativeBackend,
+    "hybrid": HybridBackend,
+}
+
+
 def _make_backend(engine: str):
-    if engine == "compiled":
-        from ..codegen.python_backend import PythonBackend
-
-        return PythonBackend()
-    if engine == "native":
-        from ..codegen.native_backend import NativeBackend
-
-        return NativeBackend()
-    if engine.startswith("hybrid"):
-        from ..codegen.hybrid_backend import HybridBackend
-
-        return HybridBackend(
-            buffered="buffered" in engine,
-            minimal="min" in engine.split("_"),
+    backend = _BACKENDS.get(engine)
+    if backend is None:
+        raise UnsupportedQueryError(
+            f"unknown engine {engine!r}; available: {', '.join(ENGINES)}"
         )
-    raise UnsupportedQueryError(
-        f"unknown engine {engine!r}; available: {', '.join(ENGINES)}"
-    )
+    return backend()

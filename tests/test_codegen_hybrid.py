@@ -39,6 +39,13 @@ def item(**kw):
 SCAN = Scan(0, "T")
 
 
+def _pinned_rows(query, backend):
+    """Run *query* compiled with an explicit backend (a pinned policy)."""
+    shape = query.provider.shape(query.expr, list(query.sources))
+    compiled = shape.compile_with(backend)
+    return list(compiled.execute(shape.sources, {**shape.bindings, **query.params}))
+
+
 class TestSchemaInference:
     def test_basic_kinds(self):
         items = [item(a=1, b=2.5, c="hello", d=True, e=datetime.date(2020, 1, 1))]
@@ -230,20 +237,6 @@ class TestStagingSafety:
             query.to_list()
 
 
-class TestHybridBackendNames:
-    @pytest.mark.parametrize(
-        "buffered, minimal, expected",
-        [
-            (False, False, "hybrid"),
-            (True, False, "hybrid_buffered"),
-            (False, True, "hybrid_min"),
-            (True, True, "hybrid_min_buffered"),
-        ],
-    )
-    def test_engine_names(self, buffered, minimal, expected):
-        assert HybridBackend(buffered=buffered, minimal=minimal).name == expected
-
-
 class TestBufferedFallback:
     def test_sort_falls_back_to_full_staging(self):
         """Buffering is inapplicable to sorting (quicksort requires full
@@ -253,11 +246,11 @@ class TestBufferedFallback:
 
         q = (
             from_iterable(items, token="t:sortbuf")
-            .using("hybrid_buffered")
+            .using("hybrid")
             .group_by(lambda i: i.k, lambda g: new(k=g.key, t=g.sum(lambda i: i.v)))
             .order_by(lambda r: r.k)
         )
-        rows = q.to_list()
+        rows = _pinned_rows(q, HybridBackend(buffered=True))
         assert [r.k for r in rows] == [0, 1, 2]
 
     def test_page_size_controls_flush_count(self):
@@ -292,7 +285,7 @@ class TestMinVariantShapes:
         expected = sorted(items, key=lambda s: (s.a, -s.b))
         got = (
             from_iterable(items, token="min:multi")
-            .using("hybrid_min")
+            .using("hybrid")
             .order_by(lambda s: s.a)
             .then_by_desc(lambda s: s.b)
             .to_list()
@@ -305,7 +298,7 @@ class TestMinVariantShapes:
         items = self._items(10)
         got = (
             from_iterable(items, token="min:ident")
-            .using("hybrid_min")
+            .using("hybrid")
             .order_by(lambda s: s.b)
             .to_list()
         )
@@ -315,14 +308,14 @@ class TestMinVariantShapes:
         from repro.query import from_iterable
 
         items = self._items()
-        got = (
+        query = (
             from_iterable(items, token="min:topn")
-            .using("hybrid_min")
+            .using("hybrid")
             .order_by_desc(lambda s: s.b)
             .take(3)
             .select(lambda s: s.b)
-            .to_list()
         )
+        got = _pinned_rows(query, HybridBackend(minimal=True))
         assert got == sorted((s.b for s in items), reverse=True)[:3]
 
     def test_min_three_way_join(self):
@@ -341,7 +334,7 @@ class TestMinVariantShapes:
         )
         query = (
             from_iterable(a, token="min:a")
-            .using("hybrid_min")
+            .using("hybrid")
             .join(
                 inner,
                 lambda x: x.k,
@@ -349,7 +342,7 @@ class TestMinVariantShapes:
                 lambda x, y: new(tag=x.tag, label=y.label, extra=y.extra),
             )
         )
-        rows = query.to_list()
+        rows = _pinned_rows(query, HybridBackend(minimal=True))
         assert len(rows) == 9
         assert {(r.tag, r.label) for r in rows} == {
             (i, f"b{i % 3}") for i in range(9)
@@ -376,3 +369,139 @@ class TestMinJoinKinds:
         plan = optimize(translate(query.expr))
         with pytest.raises(UnsupportedQueryError, match="inner joins"):
             HybridBackend(minimal=True).compile(plan, list(query.sources))
+
+
+class TestMinMaxRule:
+    """`hybrid` picks Max unless whole elements cross the staging boundary,
+    where Min builds the plans it supports and Max's refusal stands."""
+
+    ITEMS = [item(a=i % 4, b=float(20 - i)) for i in range(20)]
+    OTHER = [item(a=k, w=k * 10) for k in range(4)]
+
+    def _pair(self, build):
+        from repro.query import QueryProvider, from_iterable
+
+        provider = QueryProvider()
+        base = from_iterable(self.ITEMS, token="rule:items")
+        hybrid = build(base.using("hybrid", provider))
+        compiled = build(base.using("compiled", provider))
+        return hybrid, compiled
+
+    def _assert_min_original_objects(self, build):
+        hybrid, compiled = self._pair(build)
+        rows = hybrid.to_list()
+        assert rows == compiled.to_list()
+        shape = hybrid.provider.shape(hybrid.expr, list(hybrid.sources))
+        assert shape.compiled("hybrid").minimal
+        return rows
+
+    def test_whole_element_sort(self):
+        rows = self._assert_min_original_objects(lambda q: q.order_by(lambda r: r.b))
+        assert all(any(r is o for o in self.ITEMS) for r in rows)
+
+    def test_take_after_order_by_desc(self):
+        rows = self._assert_min_original_objects(
+            lambda q: q.order_by_desc(lambda r: r.b).take(3)
+        )
+        assert all(any(r is o for o in self.ITEMS) for r in rows)
+
+    def test_inner_join_embedding_both_elements(self):
+        from repro.query import from_iterable
+
+        other = from_iterable(self.OTHER, token="rule:other")
+        rows = self._assert_min_original_objects(
+            lambda q: q.join(
+                other, lambda l: l.a, lambda r: r.a, lambda l, r: new(l=l, r=r)
+            )
+        )
+        assert len(rows) == len(self.ITEMS)
+        assert all(any(x.l is o for o in self.ITEMS) for x in rows)
+        assert all(any(x.r is o for o in self.OTHER) for x in rows)
+
+    def test_flat_fields_keep_max(self):
+        hybrid, compiled = self._pair(
+            lambda q: q.order_by(lambda r: r.b).select(lambda r: r.a)
+        )
+        assert hybrid.to_list() == compiled.to_list()
+        shape = hybrid.provider.shape(hybrid.expr, list(hybrid.sources))
+        assert not shape.compiled("hybrid").minimal
+
+    def test_retired_min_spelling_shares_the_artifact(self):
+        from repro.observability import METRICS
+        from repro.query import QueryProvider, from_iterable
+
+        provider = QueryProvider()
+        base = from_iterable(self.ITEMS, token="rule:alias")
+        before = METRICS.counter("compile.hybrid.count").value
+        old = base.using("hybrid_min", provider).order_by(lambda r: r.b).to_list()
+        new_ = base.using("hybrid", provider).order_by(lambda r: r.b).to_list()
+        assert METRICS.counter("compile.hybrid.count").value - before == 1
+        assert old == new_
+
+    def test_candidate_engines_are_the_compiling_engines(self):
+        from repro.query.provider import _candidate_engines
+
+        array = StructArray.from_rows(Schema([Field("x", "int")], name="X"), [(1,)])
+        assert _candidate_engines("compiled", [array]) == (
+            "compiled",
+            "native",
+            "hybrid",
+        )
+
+    def test_explain_names_min_without_max_placements(self):
+        hybrid, _ = self._pair(lambda q: q.order_by(lambda r: r.b))
+        text = hybrid.in_parallel(1).explain()
+        engine_line = text.splitlines()[2]
+        assert engine_line.startswith("engine: hybrid (Min:")
+        assert "managed staging" not in text
+
+
+class TestPinnedPolicies:
+    """The pinned policies the figure sweeps use: buffered Max and Min."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        from repro.tpch import TPCHData
+
+        return TPCHData(scale=0.002, seed=3)
+
+    @staticmethod
+    def _close(rows, expected):
+        assert len(rows) == len(expected)
+        for row, want in zip(rows, expected):
+            assert tuple(row) == pytest.approx(tuple(want))
+
+    def _queries(self, data):
+        from repro.tpch import join_micro, q1, q3, q4, sorting_micro
+
+        return {
+            "q1": lambda e: q1(data, e),
+            "q3": lambda e: q3(data, e),
+            "q4": lambda e: q4(data, e),
+            "sort": lambda e: sorting_micro(data, e, 0.3),
+            "join": lambda e: join_micro(data, e, 0.5),
+        }
+
+    @pytest.mark.parametrize("name", ("q1", "q3", "q4", "sort", "join"))
+    def test_buffered_equals_linq(self, data, name):
+        build = self._queries(data)[name]
+        rows = _pinned_rows(build("hybrid"), HybridBackend(buffered=True))
+        expected = build("linq").to_list()
+        if name == "join":  # a bag: compare in one order
+            rows, expected = sorted(map(tuple, rows)), sorted(map(tuple, expected))
+        self._close(rows, expected)
+
+    @pytest.mark.parametrize("name", ("sort", "join"))
+    def test_min_equals_linq(self, data, name):
+        build = self._queries(data)[name]
+        rows = _pinned_rows(build("hybrid"), HybridBackend(minimal=True))
+        expected = build("linq").to_list()
+        if name == "join":
+            rows, expected = sorted(map(tuple, rows)), sorted(map(tuple, expected))
+        self._close(rows, expected)
+
+    @pytest.mark.parametrize("name", ("q1", "q3", "q4"))
+    def test_min_refuses_aggregations(self, data, name):
+        query = self._queries(data)[name]("hybrid")
+        with pytest.raises(UnsupportedQueryError, match="Min staging"):
+            _pinned_rows(query, HybridBackend(minimal=True))

@@ -16,9 +16,11 @@ import random
 
 import pytest
 
+from pinned_hybrids import pinned_hybrids  # noqa: F401 - fixture
 from repro import new
 from repro.errors import ExecutionError, UnsupportedQueryError
 from repro.observability import METRICS, TRACER
+from repro.query import ENGINES as REPRO_ENGINES
 from repro.query import QueryProvider, RecyclingProvider, from_iterable
 from repro.storage import Field, Schema, StructArray
 
@@ -38,7 +40,7 @@ T2 = Schema(
 
 _VOCAB = ["aa", "bb", "cc", "dd"]
 
-ENGINES = ("compiled", "native", "hybrid", "hybrid_buffered")
+ENGINES = REPRO_ENGINES[1:]
 WORKER_CONFIGS = (None, 2)
 
 #: shared providers so the corpus reuses compiled artifacts the way the
@@ -302,7 +304,8 @@ def _spans_named(spans, name):
     return [r for r in spans if r.name == name]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.usefixtures("pinned_hybrids")
+@pytest.mark.parametrize("engine", ENGINES + ("hybrid_buffered",))
 def test_cached_aggregation_runs_only_delta_morsels(engine):
     """ISSUE acceptance: 100k-row source, append ≤5%, re-execution of a
     cached aggregation touches only the delta morsel range."""

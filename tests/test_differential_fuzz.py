@@ -20,6 +20,7 @@ import pytest
 
 from repro import new
 from repro.errors import ExecutionError, UnsupportedQueryError
+from repro.query import ENGINES as REPRO_ENGINES
 from repro.query import QueryProvider, from_iterable, from_struct_array
 from repro.storage import Field, Schema, StructArray
 
@@ -66,7 +67,7 @@ OBJ_A, OBJ_B = ARR_A.to_objects(), ARR_B.to_objects()
 
 PROVIDER = QueryProvider()
 
-ENGINES = ("compiled", "native", "hybrid", "hybrid_buffered")
+ENGINES = REPRO_ENGINES[1:]
 
 #: (workers, morsel_size); morsel sizes deliberately coprime-ish with the
 #: dataset sizes so boundaries fall mid-group, mid-tie, mid-everything

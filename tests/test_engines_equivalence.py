@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pinned_hybrids import pinned_hybrids  # noqa: F401 - fixture
 from repro import P, new
+from repro.codegen.hybrid_backend import HybridBackend
 from repro.errors import ExecutionError, UnsupportedQueryError
 from repro.query import QueryProvider, from_iterable, from_struct_array
 from repro.storage import Field, Schema, StructArray
@@ -39,6 +41,7 @@ ROWS = [
     ("west", "apple", 6, 1.15, datetime.date(1998, 9, 18)),
 ]
 
+#: the object-source engines, plus the pinned buffered-Max hybrid column
 OBJECT_ENGINES = ("linq", "compiled", "hybrid", "hybrid_buffered")
 ALL_ENGINES = OBJECT_ENGINES + ("native",)
 
@@ -64,6 +67,7 @@ def make_query(engine, sales_objects, sales_array, provider):
     return from_iterable(sales_objects, token="obj:Sale").using(engine, provider)
 
 
+@pytest.mark.usefixtures("pinned_hybrids")
 @pytest.mark.parametrize("engine", ALL_ENGINES)
 class TestFilterProject:
     def test_filter_by_string(self, engine, sales_objects, sales_array, provider):
@@ -109,6 +113,7 @@ class TestFilterProject:
         assert q.where(lambda s: s.product.startswith("p")).count() == 4
 
 
+@pytest.mark.usefixtures("pinned_hybrids")
 @pytest.mark.parametrize("engine", ALL_ENGINES)
 class TestAggregation:
     def test_scalar_aggregates(self, engine, sales_objects, sales_array, provider):
@@ -208,7 +213,7 @@ class TestDistinctConcat:
         assert result == ["east", "west", "north"]
 
     def test_sort_min_variant(self, engine, sales_objects, sales_array, provider):
-        # hybrid_min handles sort queries over objects; compare against others
+        # the hybrid engine sorts object sources too; compare against others
         if engine == "native":
             pytest.skip("min variant is an object-source strategy")
         expected = (
@@ -219,7 +224,7 @@ class TestDistinctConcat:
         )
         got = (
             from_iterable(sales_objects, token="obj:Sale")
-            .using("hybrid_min", provider)
+            .using("hybrid", provider)
             .order_by(lambda s: s.price)
             .select(lambda s: s.product)
             .to_list()
@@ -227,6 +232,7 @@ class TestDistinctConcat:
         assert got == expected
 
 
+@pytest.mark.usefixtures("pinned_hybrids")
 @pytest.mark.parametrize("engine", ALL_ENGINES)
 class TestJoin:
     def _targets(self, engine, provider):
@@ -300,11 +306,12 @@ class TestEngineRestrictions:
     def test_min_variant_rejects_aggregation(self, sales_objects, provider):
         q = (
             from_iterable(sales_objects, token="obj:Sale")
-            .using("hybrid_min", provider)
+            .using("hybrid", provider)
             .group_by(lambda s: s.region, lambda g: new(r=g.key, n=g.count()))
         )
+        shape = provider.shape(q.expr, list(q.sources))
         with pytest.raises(UnsupportedQueryError, match="Min staging"):
-            q.to_list()
+            shape.compile_with(HybridBackend(minimal=True))
 
     def test_unknown_engine(self, sales_objects, provider):
         q = from_iterable(sales_objects).using("quantum", provider)
@@ -390,7 +397,7 @@ class TestPropertyEquivalence:
         objs = arr.to_objects()
         expected = sum(r[2] for r in rows if r[2] > threshold)
         provider = QueryProvider()
-        for engine in ("linq", "compiled", "hybrid", "hybrid_buffered"):
+        for engine in ("linq", "compiled", "hybrid"):
             q = from_iterable(objs, token="obj:Sale").using(engine, provider)
             assert q.where(lambda s: s.qty > P("t")).with_params(t=threshold).sum(
                 lambda s: s.qty
@@ -416,8 +423,8 @@ class TestPropertyEquivalence:
             ).to_list()
             return {r.region: r.n for r in result}
 
-        for engine in ("linq", "compiled", "hybrid", "hybrid_buffered"):
-            if engine.startswith("hybrid") and not rows:
+        for engine in ("linq", "compiled", "hybrid"):
+            if engine == "hybrid" and not rows:
                 continue  # schema inference needs at least one element
             q = from_iterable(objs, token="obj:Sale").using(engine, provider)
             assert run(q) == expected, engine

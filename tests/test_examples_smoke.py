@@ -4,6 +4,7 @@ import pathlib
 import runpy
 import sys
 
+from repro.query import ENGINES
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
@@ -34,7 +35,8 @@ class TestExamples:
         run_example("tpch_demo.py", argv=["0.002"])
         out = capsys.readouterr().out
         assert "MISMATCH" not in out
-        assert out.count("agrees ✓") >= 10  # 4 non-reference engines × 3 queries
+        # every engine after the linq reference agrees, on each of 3 queries
+        assert out.count("agrees ✓") == 3 * (len(ENGINES) - 1)
 
     def test_engine_tour(self, capsys):
         run_example("engine_tour.py")

@@ -10,13 +10,18 @@ and the compiled-artifact cache both rely on.
 
 import pytest
 
+from pinned_hybrids import pinned_hybrids  # noqa: F401 - fixture
 from repro import new
+from repro.query import ENGINES as REPRO_ENGINES
 from repro.query import QueryProvider, from_iterable, from_struct_array
 from repro.storage import Field, Schema, StructArray
 from repro.tpch.datagen import TPCHData
 from repro.tpch.queries import q1, q3
 
-ENGINES = ("compiled", "native", "hybrid", "hybrid_buffered")
+#: every codegen engine, plus the pinned buffered-Max hybrid column
+ENGINES = REPRO_ENGINES[1:] + ("hybrid_buffered",)
+
+pytestmark = pytest.mark.usefixtures("pinned_hybrids")
 
 SCHEMA = Schema(
     [

@@ -15,7 +15,7 @@ from repro import new
 from repro.errors import ExecutionError
 from repro.observability.tracer import TRACER
 from repro.query import QueryProvider, from_iterable, from_struct_array
-from repro.query.provider import PARALLEL_ENGINES
+from repro.query.provider import ENGINES
 from repro.runtime.parallel import (
     DEFAULT_MORSEL_ROWS,
     morsel_bounds,
@@ -64,7 +64,7 @@ def _query_pair(rows, engine):
 def _assert_identical(build, rows, configs=((2, 1), (3, 4), (4, 7), (5, None))):
     """build(query) runs on every parallel engine; every worker/morsel
     combination must reproduce that engine's sequential result exactly."""
-    for engine in PARALLEL_ENGINES:
+    for engine in ENGINES[1:]:
         base = _query_pair(rows, engine)
         try:
             sequential = build(base)
@@ -306,7 +306,7 @@ class TestWorkerInvariance:
     def test_worker_sweep_identical(self):
         rows = _rows(120)
         results = []
-        for engine in PARALLEL_ENGINES:
+        for engine in ENGINES[1:]:
             base = _query_pair(rows, engine)
             def build(q):
                 return list(
@@ -345,14 +345,23 @@ class TestFallbacks:
         assert list(q.in_parallel(4, 3)) == list(q)
 
     def test_hybrid_min_runs_sequentially(self):
+        # a whole-element sort builds with Min, which emits no morsel
+        # kernels: the threads tier refuses it and names why
         rows = _rows(30)
         array = StructArray.from_rows(SCHEMA, rows)
         q = (
             from_iterable(array.to_objects(), schema=SCHEMA)
-            .using("hybrid_min", PROVIDER)
+            .using("hybrid", PROVIDER)
             .order_by(lambda r: r.v)
         )
         assert list(q.in_parallel(4, 7)) == list(q)
+        shape = PROVIDER.shape(q.expr, list(q.sources))
+        options = q.in_parallel(4, 7).options.resolved()
+        tier = PROVIDER.tier(shape, "hybrid", shape.bindings, options)
+        assert tier.kind == "inline"
+        assert tier.reason == (
+            "the minimal hybrid engines do not emit morsel-parameterized kernels"
+        )
 
     def test_join_falls_back_but_stays_correct(self):
         # joins are excluded from the morsel path (a monolithic kernel

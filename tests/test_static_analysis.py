@@ -13,6 +13,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from pinned_hybrids import pinned_hybrids  # noqa: F401 - fixture
 import repro.analysis.effects as effects_module
 import repro.codegen.compiler as compiler_module
 from repro.analysis.effects import analyze_callable
@@ -40,6 +41,7 @@ from repro.expressions.typing import (
     kind_resolver,
     type_from_token,
 )
+from repro.query import ENGINES as REPRO_ENGINES
 from repro.query import QueryProvider, from_iterable, from_struct_array
 from repro.storage import Field, Schema, StructArray
 
@@ -66,7 +68,8 @@ def make_array():
     )
 
 
-ENGINES = ("linq", "compiled", "native", "hybrid", "hybrid_buffered")
+#: every engine, plus the pinned buffered-Max hybrid column
+ENGINES = REPRO_ENGINES + ("hybrid_buffered",)
 
 #: (label, query builder, expected message fragment)
 MALFORMED = [
@@ -150,6 +153,7 @@ MALFORMED = [
 ]
 
 
+@pytest.mark.usefixtures("pinned_hybrids")
 class TestMalformedQueries:
     """~15 ill-typed queries × every engine → QueryAnalysisError pre-codegen."""
 
@@ -389,7 +393,7 @@ def _objects(engine, provider, token="t:refusal"):
 
 def _filter_over_projection(provider):
     return (
-        _objects("hybrid_min", provider)
+        _objects("hybrid", provider)
         .select(lambda s: new(k=s.k, w=s.v * 2))
         .where(lambda r: r.w > 1.0)
         .order_by(lambda r: r.k)
@@ -402,7 +406,9 @@ _OUTSIDE_FRAGMENT = (
 )
 
 #: one query per engine restriction, with the exact refusal text users
-#: see — the provider passes on the compiling backend's own
+#: see — the provider passes on the compiling backend's own.  The "min"
+#: cases pin Min result construction, which no engine name selects, so
+#: they compile through Shape.compile_with(HybridBackend(minimal=True))
 REFUSALS = {
     "native-object-list": (
         "native",
@@ -456,8 +462,8 @@ REFUSALS = {
         _OUTSIDE_FRAGMENT.format("GroupBy"),
     ),
     "min-group-by": (
-        "hybrid_min",
-        lambda p: _array("hybrid_min", p).group_by(
+        "min",
+        lambda p: _array("hybrid", p).group_by(
             lambda s: s.k, lambda g: new(k=g.key, n=g.count())
         ),
         "Min staging only supports a single sort/top-N or inner join as the "
@@ -465,15 +471,15 @@ REFUSALS = {
         "variant for complex queries",
     ),
     "min-filter-over-projection": (
-        "hybrid_min",
+        "min",
         _filter_over_projection,
         "Min staging only supports (filtered) scans and joins below the "
         "native operator",
     ),
     "min-left-outer-join": (
-        "hybrid_min",
-        lambda p: _objects("hybrid_min", p).left_outer_join(
-            _objects("hybrid_min", p, token="t:inner"),
+        "min",
+        lambda p: _objects("hybrid", p).left_outer_join(
+            _objects("hybrid", p, token="t:inner"),
             lambda a: a.k,
             lambda b: b.k,
             lambda a, b: new(k=a.k, v=b.v),
@@ -497,11 +503,14 @@ class TestCapabilityReports:
     def test_min_staging_shape_rejected(self):
         q = (
             from_struct_array(make_array())
-            .using("hybrid_min")
+            .using("hybrid")
             .group_by(lambda s: s.k, lambda g: new(k=g.key, n=g.count()))
         )
+        shape = q.provider.shape(q.expr, list(q.sources))
         with pytest.raises(UnsupportedQueryError, match="Min staging"):
-            q.to_list()
+            shape.compile_with(HybridBackend(minimal=True))
+        # the hybrid engine's own rule builds this aggregation with Max
+        assert not shape.compiled("hybrid").minimal
 
     @pytest.mark.parametrize(
         "engine, build, message",
@@ -510,17 +519,21 @@ class TestCapabilityReports:
     def test_provider_refusal_is_the_backends(self, engine, build, message):
         provider = QueryProvider()
         q = build(provider)
-        with pytest.raises(UnsupportedQueryError) as through_provider:
-            q.to_list()
         sources = list(q.sources)
-        plan = provider.shape(q.expr, sources).plan()
+        shape = provider.shape(q.expr, sources)
         backend = (
             NativeBackend()
             if engine == "native"
-            else HybridBackend(minimal=engine == "hybrid_min")
+            else HybridBackend(minimal=engine == "min")
         )
+        with pytest.raises(UnsupportedQueryError) as through_provider:
+            if engine == "min":
+                shape.compile_with(backend)
+            else:
+                q.to_list()
         with pytest.raises(UnsupportedQueryError) as direct:
-            backend.compile(plan, sources)
+            backend.compile(shape.plan(), sources)
+        assert type(through_provider.value) is UnsupportedQueryError
         assert str(through_provider.value) == str(direct.value) == message
 
 

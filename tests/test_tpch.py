@@ -11,6 +11,8 @@ import datetime
 
 import pytest
 
+from pinned_hybrids import pinned_hybrids  # noqa: F401 - fixture
+from repro.query import ENGINES as REPRO_ENGINES
 from repro.query import QueryProvider
 from repro.tpch import (
     TPCHData,
@@ -38,7 +40,10 @@ from repro.tpch import (
 )
 
 SCALE = 0.003
-ENGINES = ("linq", "compiled", "native", "hybrid", "hybrid_buffered")
+#: every engine, plus the pinned buffered-Max hybrid column
+ENGINES = REPRO_ENGINES + ("hybrid_buffered",)
+
+pytestmark = pytest.mark.usefixtures("pinned_hybrids")
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +239,8 @@ class TestMicros:
         exp = {(r.rf, r.ls): (round(r.sum_qty, 2), r.count_order) for r in baseline}
         assert got == exp
 
+    # "hybrid_min" is the retired spelling Query.using still maps to
+    # "hybrid", whose rule builds this whole-element sort with Min
     @pytest.mark.parametrize("engine", ("compiled", "native", "hybrid_min"))
     def test_sorting_micro_consistent(self, data, provider, engine):
         got = [r.l_extendedprice for r in sorting_micro(data, engine, 0.3, provider)]
