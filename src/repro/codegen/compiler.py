@@ -23,7 +23,7 @@ from . import verifier as _verifier
 
 __all__ = ["CompiledQuery", "compile_source", "timed"]
 
-#: module-level switch for the AST verifier gate (see codegen.verifier);
+#: module-level switch for the verifier gate (see codegen.verifier);
 #: benchmarks can flip this off, or set REPRO_VERIFY_GENERATED=0
 VERIFY_GENERATED: Optional[bool] = None
 
@@ -51,7 +51,7 @@ class CompiledQuery:
     minimal: bool = False
     #: static analysis of the originating query (set by the provider)
     analysis: Any = None
-    #: AST verifier report for the generated module (set by compile_source)
+    #: verifier report for the generated module (set by compile_source)
     verifier_report: Any = None
 
     def execute(self, sources: List[Any], params: Dict[str, Any]) -> Any:
@@ -71,12 +71,14 @@ def compile_source(
     (record types, helper functions, numpy); it becomes the module globals
     of the generated function.
 
-    Before executing, the module is checked by the AST verifier (see
-    :mod:`repro.codegen.verifier`) — on by default, opt out per call with
+    The source is parsed once.  Between compiling and executing, the
+    verifier (see :mod:`repro.codegen.verifier`) checks the code object
+    that compile built — on by default, opt out per call with
     ``verify=False``, per process with ``compiler.VERIFY_GENERATED =
     False``, or via ``REPRO_VERIFY_GENERATED=0``.  Violations raise
     :class:`~repro.errors.GeneratedCodeViolation` (a ``CodegenError``)
-    carrying the report and the offending source.
+    carrying the report and the offending source.  The returned seconds
+    time compiling and executing the module, not the verifier.
     """
     if verify is None:
         verify = (
@@ -84,25 +86,25 @@ def compile_source(
             if VERIFY_GENERATED is not None
             else env("REPRO_VERIFY_GENERATED")
         )
-    report = None
-    if verify:
-        # raises GeneratedCodeViolation with the report chained in
-        report = _verifier.check_generated(source, namespace, entry_point)
-        # stash for the provider: fn.__globals__ carries it out
-        namespace["__verifier_report__"] = report
-    started = time.perf_counter()
     with TRACER.span("codegen.compile_source", entry=entry_point):
+        started = time.perf_counter()
         try:
             code = compile(source, filename, "exec")
-            exec(code, namespace)  # noqa: S102 - executing our own generated code
         except SyntaxError as exc:
             raise CodegenError(
-                f"generated source failed to compile: {exc}"
-                f"\n--- verifier ---\n"
-                f"{report.describe() if report is not None else 'verifier not run'}"
+                f"generated source does not parse: {exc}"
                 f"\n--- source ---\n{source}"
             ) from exc
-    elapsed = time.perf_counter() - started
+        elapsed = time.perf_counter() - started
+        if verify:
+            # raises GeneratedCodeViolation, explained by the AST pass;
+            # the report is stashed for the provider (fn.__globals__)
+            namespace["__verifier_report__"] = _verifier.check_generated(
+                source, namespace, entry_point, code
+            )
+        started = time.perf_counter()
+        exec(code, namespace)  # noqa: S102 - executing our own generated code
+        elapsed += time.perf_counter() - started
     METRICS.counter("compile_source.count").add()
     METRICS.histogram("compile_source.seconds").observe(elapsed)
     entry = namespace.get(entry_point)

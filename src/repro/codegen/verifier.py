@@ -1,15 +1,16 @@
-"""AST verifier for generated query modules.
+"""Verifier for generated query modules.
 
 Every backend emits a Python module as a string and ``exec``s it.  The C#
 original got a safety net for free — the host compiler type-checks the
 generated source (§4.2).  ``exec`` checks nothing, so a printer bug
 surfaces as a ``NameError`` deep inside query execution.  This module is
-the replacement net: before a generated module is executed, its AST is
+the replacement net: before a generated module is executed, it is
 checked for
 
-* **module shape** — a docstring plus exactly one top-level
-  ``def execute(sources, _params)`` with two positional parameters;
-* **no unbound names** — every ``Name`` load resolves to a function
+* **module shape** — a docstring plus top-level function definitions,
+  one of them ``def execute(sources, _params)`` with two positional
+  parameters;
+* **no unbound names** — every name load resolves to a function
   parameter, a local binding, a namespace binding supplied by the
   printer, or a whitelisted builtin;
 * **hygiene** — no local binding shadows a namespace binding (printers
@@ -19,11 +20,18 @@ checked for
   Generated code must be a closed straight-line program over the
   namespace the printer bound.
 
-:func:`verify_source` returns a :class:`VerifierReport`;
-:func:`check_generated` raises
-:class:`~repro.errors.GeneratedCodeViolation` on any finding.  The gate
-is wired into :func:`repro.codegen.compiler.compile_source` and is on by
-default (set ``REPRO_VERIFY_GENERATED=0`` to skip it in benchmarks).
+The gate judges the code object ``compile()`` already built, so a first
+execution parses its module once: :func:`verify_code` reads each code
+object's names, locals and opcodes (no disassembly), which is what the
+interpreter will actually run.  A statement that compiles to nothing — an
+unused ``global`` declaration, a bare constant — runs nothing and is not
+judged.  The AST pass, :func:`verify_source`, runs only when the gate
+rejects a module: it explains the rejection with line numbers.
+
+:func:`check_generated` raises :class:`~repro.errors.GeneratedCodeViolation`
+on any finding.  The gate is wired into
+:func:`repro.codegen.compiler.compile_source` and is on by default (set
+``REPRO_VERIFY_GENERATED=0`` to skip it).
 
 The same net covers the layer *above* the printers: :func:`verify_ir`
 checks the pipeline IR every backend lowers from (every breaker
@@ -32,15 +40,21 @@ schedule is topologically ordered, and no pipeline reads a source field
 outside its required-field annotation).
 
 ``python -m repro.codegen.verifier --selftest`` generates TPC-H Q1–Q3 on
-every codegen engine, verifies each emitted module, and exercises the IR
-invariants (including deliberately corrupted IRs that must be caught).
+every codegen engine, checks that both passes accept each emitted module,
+that the gate rejects every violation class planted in one and the AST
+pass explains it, and exercises the IR invariants (including deliberately
+corrupted IRs that must be caught).
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
+import opcode
+import sys
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from types import CodeType
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import GeneratedCodeViolation
 from ..plans.logical import (
@@ -60,6 +74,7 @@ from .ir import PipelineBreaker, lambda_fields, merge_fields
 
 __all__ = [
     "VerifierReport",
+    "verify_code",
     "verify_source",
     "verify_ir",
     "verify_facts",
@@ -116,7 +131,8 @@ def verify_source(
     namespace: Optional[Dict[str, Any]] = None,
     entry_point: str = "execute",
 ) -> VerifierReport:
-    """Verify a generated module; never raises, returns the report."""
+    """The AST pass over a generated module: every violation with its
+    line.  Never raises; the gate runs it only to explain a rejection."""
     violations: List[str] = []
     try:
         tree = ast.parse(source)
@@ -135,16 +151,200 @@ def check_generated(
     source: str,
     namespace: Optional[Dict[str, Any]] = None,
     entry_point: str = "execute",
+    code: Optional[CodeType] = None,
 ) -> VerifierReport:
-    """Verify and raise :class:`GeneratedCodeViolation` on any finding."""
-    report = verify_source(source, namespace, entry_point)
-    if not report.ok:
-        raise GeneratedCodeViolation(
-            f"{report.describe()}\n--- generated source ---\n{source}",
-            violations=report.violations,
-            source=source,
+    """Gate *source* — judged on *code*, its compiled module, when the
+    caller already has it — and raise :class:`GeneratedCodeViolation` on
+    any finding, explained by the AST pass."""
+    try:
+        if code is None:
+            code = compile(source, "<repro-generated>", "exec")
+        findings = verify_code(code, namespace, entry_point)
+    except SyntaxError:
+        findings = ("generated source does not parse",)
+    if not findings:
+        return VerifierReport((), entry_point, source)
+    # the explanation; a finding it cannot point at (say, a class body)
+    # is reported as the gate saw it
+    violations = verify_source(source, namespace, entry_point).violations
+    report = VerifierReport(violations or findings, entry_point, source)
+    raise GeneratedCodeViolation(
+        f"{report.describe()}\n--- generated source ---\n{source}",
+        violations=report.violations,
+        source=source,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The gate: what compile() built
+# ---------------------------------------------------------------------------
+
+_OP = opcode.opmap
+_EXTENDED_ARG = _OP["EXTENDED_ARG"]
+_LOAD_GLOBAL = _OP["LOAD_GLOBAL"]
+_MAKE_FUNCTION = _OP["MAKE_FUNCTION"]
+_DEREF_WRITES = (_OP["STORE_DEREF"], _OP["DELETE_DEREF"])
+#: since 3.11 LOAD_GLOBAL's oparg is the name index shifted left by one
+#: (the low bit says whether to push NULL first)
+_GLOBAL_SHIFT = 1 if sys.version_info >= (3, 11) else 0
+
+#: everything a module of a docstring and plain ``def``s compiles to
+_MODULE_OPS = bytes(
+    _OP[name]
+    for name in (
+        "CACHE", "RESUME", "NOP", "EXTENDED_ARG", "LOAD_CONST",
+        "MAKE_FUNCTION", "STORE_NAME", "RETURN_CONST", "RETURN_VALUE",
+    )
+    if name in _OP
+)
+
+#: opcodes that reach past a function's locals and the namespace it reads
+_ESCAPES = tuple(
+    (_OP[name], reason)
+    for name, reason in (
+        ("IMPORT_NAME", "import statement"),
+        ("IMPORT_FROM", "import statement"),
+        ("IMPORT_STAR", "import statement"),
+        ("STORE_GLOBAL", "'global' declaration"),
+        ("DELETE_GLOBAL", "'global' declaration"),
+    )
+    if name in _OP
+)
+
+
+def _opargs(raw: bytes, ops: bytes, op: int) -> Iterator[int]:
+    """The oparg of every *op* in *raw* (``ops`` is ``raw[::2]``), with
+    its EXTENDED_ARG prefixes applied."""
+    at = ops.find(op)
+    while at >= 0:
+        arg, prefix, shift = raw[2 * at + 1], at - 1, 8
+        while prefix >= 0 and ops[prefix] == _EXTENDED_ARG:
+            arg |= raw[2 * prefix + 1] << shift
+            prefix, shift = prefix - 1, shift + 8
+        yield arg
+        at = ops.find(op, at + 1)
+
+
+def _param_count(code: CodeType) -> int:
+    return (
+        code.co_argcount
+        + code.co_kwonlyargcount
+        + bool(code.co_flags & inspect.CO_VARARGS)
+        + bool(code.co_flags & inspect.CO_VARKEYWORDS)
+    )
+
+
+def _deref_name(code: CodeType, arg: int) -> str:
+    if sys.version_info >= (3, 11):  # one index space over all locals
+        return code._varname_from_oparg(arg)
+    return (code.co_cellvars + code.co_freevars)[arg]
+
+
+def _functions(code: CodeType) -> List[CodeType]:
+    return [c for c in code.co_consts if isinstance(c, CodeType)]
+
+
+def verify_code(
+    code: CodeType,
+    namespace: Optional[Dict[str, Any]] = None,
+    entry_point: str = "execute",
+) -> Tuple[str, ...]:
+    """The gate: the findings on one compiled module (empty when clean).
+
+    Judges the code objects ``compile()`` built — module and every nested
+    function, lambda and comprehension — from their names, locals, flags
+    and opcodes, without disassembling them.  Findings carry no line
+    numbers; :func:`verify_source` supplies those for a rejection.
+    """
+    findings: List[str] = []
+    raw = code.co_code
+    ops = raw[::2]
+    stray = ops.translate(None, _MODULE_OPS)
+    if stray or any(_opargs(raw, ops, _MAKE_FUNCTION)):
+        what = opcode.opname[stray[0]] if stray else "a decorated or defaulted def"
+        findings.append(
+            f"top-level code runs {what}; generated modules may only "
+            f"contain a docstring and function definitions"
         )
-    return report
+    functions = _functions(code)
+    defined = {function.co_name for function in functions}
+    for name in code.co_names:
+        if name != "__doc__" and name not in defined:
+            findings.append(
+                f"top-level binding {name!r} is not a function definition"
+            )
+    entries = [f for f in functions if f.co_name == entry_point]
+    if not entries or entry_point not in code.co_names:
+        findings.append(
+            f"generated module defines no {entry_point!r} entry point"
+        )
+    for entry in entries:
+        if (
+            entry.co_argcount != 2
+            or entry.co_posonlyargcount
+            or entry.co_kwonlyargcount
+            or entry.co_flags & (inspect.CO_VARARGS | inspect.CO_VARKEYWORDS)
+        ):
+            got = list(entry.co_varnames[: _param_count(entry)])
+            findings.append(
+                f"entry point must take exactly (sources, params); got "
+                f"parameters {got}"
+            )
+    stack = functions
+    while stack:
+        function = stack.pop()
+        _verify_function(function, namespace or {}, defined, findings)
+        stack.extend(_functions(function))
+    return tuple(dict.fromkeys(findings))
+
+
+def _verify_function(
+    code: CodeType,
+    namespace: Dict[str, Any],
+    defined: Set[str],
+    findings: List[str],
+) -> None:
+    if not code.co_flags & inspect.CO_OPTIMIZED:
+        # a class body: its name lookups would escape the global-load check
+        findings.append(f"class body {code.co_name!r}; generated code defines functions only")
+        return
+    raw = code.co_code
+    ops = raw[::2]
+    for op, reason in _ESCAPES:
+        if op in ops:
+            findings.append(f"{reason} in {code.co_name!r}")
+    if code.co_freevars:
+        for op in _DEREF_WRITES:
+            for arg in _opargs(raw, ops, op):
+                name = _deref_name(code, arg)
+                if name in code.co_freevars:
+                    findings.append(
+                        f"'nonlocal' write to {name!r} in {code.co_name!r} "
+                        f"breaks hygiene of generated locals"
+                    )
+    names = code.co_names
+    for arg in _opargs(raw, ops, _LOAD_GLOBAL):
+        name = names[arg >> _GLOBAL_SHIFT]
+        if name in _FORBIDDEN_NAMES:
+            findings.append(f"reference to forbidden builtin {name!r}")
+        elif not (
+            name in namespace or name in SAFE_BUILTINS or name in defined
+        ):
+            findings.append(
+                f"unbound name {name!r}: it is not a parameter, a local, "
+                f"a namespace binding, or a safe builtin"
+            )
+    params = code.co_varnames[: _param_count(code)]
+    for name in code.co_varnames[len(params):] + code.co_cellvars:
+        if name in params:
+            continue  # a parameter some nested scope closes over
+        if name in _FORBIDDEN_NAMES:
+            findings.append(f"reference to forbidden builtin {name!r}")
+        if name in namespace:
+            findings.append(
+                f"local binding {name!r} shadows a namespace binding; "
+                f"generated locals must be hygienic"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -775,6 +975,66 @@ def _ir_selftest() -> int:
     return failures
 
 
+#: (what both passes' message says, line planted first in ``execute``'s
+#: body — or None, then an (old, new) edit of the module) — one case per
+#: violation class the gate must catch
+_PLANTED = (
+    ("unbound name", "_unbound_1", None),
+    ("forbidden builtin", "eval('1')", None),
+    ("import statement", "import os", None),
+    ("'global'", "global leak_1\n    leak_1 = 1", None),
+    (
+        "'nonlocal'",
+        "leak_1 = 0\n    def _inner_1():\n        nonlocal leak_1\n"
+        "        leak_1 = 1",
+        None,
+    ),
+    ("shadows a namespace binding", "{shadow} = 0", None),
+    ("top-level", None, ("", "\nSTATE = {}\n")),
+    ("entry point", None, ("def execute(", "def run(")),
+    (
+        "exactly (sources, params)",
+        None,
+        ("def execute(sources, _params):", "def execute(sources, _params, x):"),
+    ),
+)
+
+
+def _plant(source: str, line: Optional[str], edit: Any, shadow: str) -> str:
+    if line is not None:
+        header = "def execute(sources, _params):\n"
+        planted = "    " + line.format(shadow=shadow) + "\n"
+        return source.replace(header, header + planted, 1)
+    old, new = edit
+    return source.replace(old, new, 1) if old else source + new
+
+
+def _module_selftest(
+    label: str, engine: str, source: str, namespace: Dict[str, Any]
+) -> int:
+    """Both passes accept *source*; each planted violation is rejected by
+    the gate and explained by the AST pass."""
+    findings = verify_code(compile(source, "<selftest>", "exec"), namespace)
+    findings += verify_source(source, namespace).violations
+    failures = int(bool(findings))
+    print(f"{label} × {engine:16s} {'FAIL' if failures else 'ok'}")
+    for violation in findings:
+        print(f"    {violation}")
+    if label != "Q1":
+        return failures
+    shadow = next(name for name in namespace if not name.startswith("__"))
+    for says, line, edit in _PLANTED:
+        planted = _plant(source, line, edit, shadow)
+        caught = verify_code(compile(planted, "<selftest>", "exec"), namespace)
+        explained = verify_source(planted, namespace).violations
+        ok = all(any(says in v for v in found) for found in (caught, explained))
+        print(f"{label} × {engine:8s} planted: {says:27s} {'ok' if ok else 'FAIL'}")
+        if not ok:
+            failures += 1
+            print(f"    gate: {caught}\n    AST pass: {explained}")
+    return failures
+
+
 def _selftest() -> int:
     """Generate TPC-H Q1–Q3 on every codegen engine and verify each module."""
     from ..query.provider import ENGINES, QueryProvider
@@ -795,16 +1055,12 @@ def _selftest() -> int:
             compiled = provider.compile_info(
                 query.expr, query.sources, engine
             )
-            report = verify_source(
+            failures += _module_selftest(
+                label,
+                engine,
                 compiled.source_code,
                 getattr(compiled.fn, "__globals__", {}),
             )
-            status = "ok" if report.ok else "FAIL"
-            print(f"{label} × {engine:16s} {status}")
-            if not report.ok:
-                failures += 1
-                for violation in report.violations:
-                    print(f"    {violation}")
     failures += _ir_selftest()
     if failures:
         print(f"selftest: {failures} check(s) failed verification")

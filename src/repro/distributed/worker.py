@@ -56,7 +56,7 @@ def _compile_artifact(payload: Dict[str, Any]) -> Dict[str, Any]:
     kernels = []
     for source, ns_spec in payload["kernels"]:
         namespace = wire.decode_namespace(ns_spec)
-        # the coordinator's backend already ran the AST verifier on this
+        # the coordinator's backend already ran the verifier gate on this
         # exact source; the worker trusts the broadcast artifact
         fn, _ = compile_source(source, namespace, verify=False)
         kernels.append(fn)

@@ -63,7 +63,7 @@ class CodegenError(ReproError):
 
 
 class GeneratedCodeViolation(CodegenError):
-    """Generated source failed the AST verifier gate.
+    """Generated source failed the verifier gate.
 
     Subclasses :class:`CodegenError` (itself under :class:`ReproError`) so
     existing handlers keep working.  ``violations`` is the list of

@@ -368,7 +368,7 @@ class Shape:
         )
         compiled.plan_text = plan_to_text(plan)
         compiled.analysis = analysis
-        # the AST verifier ran inside compile_source; recover its report
+        # the verifier gate ran inside compile_source; recover its report
         if compiled.verifier_report is None and compiled.fn is not None:
             compiled.verifier_report = getattr(
                 compiled.fn, "__globals__", {}

@@ -1,9 +1,9 @@
-"""Static analysis: type inference, plan validation, AST verifier gate.
+"""Static analysis: type inference, plan validation, the verifier gate.
 
 Malformed queries must fail *before* codegen with a typed
 ``QueryAnalysisError`` on every engine — never with a raw
 ``NameError``/``AttributeError``/``TypeError`` escaping generated code —
-and every generated module must pass the AST verifier.
+and every generated module must pass the verifier gate.
 """
 
 import datetime
@@ -380,6 +380,177 @@ class TestCompileGate:
     def test_syntax_error_chains_verifier_report(self):
         with pytest.raises(CodegenError, match="does not parse"):
             compile_source("def execute(sources, _params:\n  pass", {})
+
+
+def _in_body(line):
+    """GOOD_SOURCE with *line* planted first in execute's body."""
+    header = "def execute(sources, _params):\n"
+    return GOOD_SOURCE.replace(header, header + line + "\n", 1)
+
+
+#: (label, module, namespace, what the AST pass explains) — one module
+#: per violation class, each written so that the violation runs
+GATED = [
+    (
+        "unbound_name",
+        GOOD_SOURCE.replace("_param_x", "_param_y", 1),
+        {},
+        "unbound name '_param_x' at line 7",
+    ),
+    (
+        "missing_namespace_binding",
+        GOOD_SOURCE.replace("elem_1 > _param_x", "_helper(elem_1, _param_x)"),
+        {},
+        "unbound name '_helper' at line 7",
+    ),
+    ("eval", _in_body("    eval('1')"), {}, "forbidden builtin 'eval' at line 4"),
+    ("open_local", _in_body("    open = 1"), {}, "forbidden builtin 'open' at line 4"),
+    ("import", _in_body("    import os"), {}, "import statement at line 4"),
+    (
+        "global_write",
+        _in_body("    global leak_1\n    leak_1 = 1"),
+        {},
+        "'global' declaration at line 4",
+    ),
+    (
+        "nonlocal_write",
+        _in_body(
+            "    leak_1 = 0\n    def _inner_1():\n"
+            "        nonlocal leak_1\n        leak_1 = 1"
+        ),
+        {},
+        "'nonlocal' declaration at line 6",
+    ),
+    (
+        "shadowing",
+        _in_body("    _np = []"),
+        {"_np": np},
+        "local binding '_np' at line 4 shadows a namespace binding",
+    ),
+    (
+        "top_level_statement",
+        GOOD_SOURCE + "\nSTATE = {}\n",
+        {},
+        "top-level statement Assign at line 11",
+    ),
+    (
+        "missing_entry_point",
+        GOOD_SOURCE.replace("def execute", "def run"),
+        {},
+        "defines no 'execute' entry point",
+    ),
+    (
+        "entry_signature",
+        GOOD_SOURCE.replace("_params):", "_params, extra):"),
+        {},
+        "exactly (sources, params)",
+    ),
+    (
+        "entry_defaults",
+        GOOD_SOURCE.replace("_params):", "_params=None):"),
+        {},
+        "exactly (sources, params)",
+    ),
+    (
+        "decorated_entry",
+        GOOD_SOURCE.replace(
+            "def execute",
+            "def _wrap_1(fn_1):\n    return fn_1\n\n@_wrap_1\ndef execute",
+        ),
+        {},
+        "entry point must not be decorated",
+    ),
+]
+
+
+class TestCodeObjectGate:
+    """compile_source judges the code object compile() built; the AST
+    pass runs only to explain a rejection."""
+
+    @pytest.mark.parametrize(
+        "source,namespace,explained",
+        [case[1:] for case in GATED],
+        ids=[case[0] for case in GATED],
+    )
+    def test_gate_rejects_and_ast_pass_explains(
+        self, source, namespace, explained
+    ):
+        from repro.codegen.verifier import verify_code
+
+        assert verify_code(compile(source, "<t>", "exec"), namespace)
+        with pytest.raises(GeneratedCodeViolation) as excinfo:
+            compile_source(source, dict(namespace))
+        assert any(explained in v for v in excinfo.value.violations)
+        assert excinfo.value.source == source
+
+    def test_gate_reports_what_the_ast_pass_cannot_point_at(self):
+        # the AST pass accepts a class body; the gate does not, because a
+        # class body's name lookups would escape the global-load check
+        source = _in_body("    class K_1:\n        z_1 = 1")
+        assert verify_source(source, {}).ok
+        with pytest.raises(GeneratedCodeViolation) as excinfo:
+            compile_source(source, {})
+        assert any("class body 'K_1'" in v for v in excinfo.value.violations)
+
+    def test_code_that_compiles_to_nothing_is_not_judged(self):
+        # an unused 'global' runs nothing; the AST pass still names it
+        source = _in_body("    global leak_1")
+        assert not verify_source(source, {}).ok
+        entry, _ = compile_source(source, {})
+        assert entry([[1, 5]], {"x": 2}) == [5]
+
+    def test_clean_module_parses_once_and_skips_the_ast_pass(
+        self, monkeypatch
+    ):
+        import repro.codegen.verifier as verifier_module
+
+        compiles = []
+
+        def counted(*args, **kwargs):
+            compiles.append(args[1])
+            return compile(*args, **kwargs)
+
+        def no_ast(*args, **kwargs):
+            raise AssertionError("AST pass ran on a clean module")
+
+        monkeypatch.setattr(compiler_module, "compile", counted, raising=False)
+        monkeypatch.setattr(verifier_module, "verify_source", no_ast)
+        provider = QueryProvider()
+        for engine in REPRO_ENGINES[1:]:
+            # sequential: one module per engine, no morsel kernels
+            q = _array(engine, provider).where(lambda s: s.v > 2.0)
+            q = q.select(lambda s: s.k).in_parallel(1)
+            assert q.to_list() == [2]
+            compiled = provider.compile_info(q.expr, q.sources, engine)
+            assert compiled.verifier_report.ok
+        assert compiles == ["<repro-generated>"] * 3
+
+    def test_check_generated_parses_when_given_no_code(self):
+        assert check_generated(GOOD_SOURCE, {}).ok
+        with pytest.raises(GeneratedCodeViolation, match="does not parse"):
+            check_generated("def execute(sources, _params:\n  pass", {})
+
+    def test_gate_agrees_with_ast_pass_on_generated_modules(self):
+        """Every TPC-H module each engine emits passes both passes."""
+        from repro.codegen.verifier import verify_code
+        from repro.tpch import TPCHData, q1, q2, q3, q4, q13, q16, q21, q22
+
+        data = TPCHData(scale=0.002)
+        checked = 0
+        for engine in REPRO_ENGINES[1:]:
+            provider = QueryProvider()
+            for builder in (q1, q2, q3, q4, q13, q16, q21, q22):
+                q = builder(data, engine, provider=provider)
+                try:
+                    compiled = provider.compile_info(q.expr, q.sources, engine)
+                except UnsupportedQueryError:
+                    continue
+                namespace = compiled.fn.__globals__
+                code = compile(compiled.source_code, "<t>", "exec")
+                assert verify_code(code, namespace) == ()
+                assert verify_source(compiled.source_code, namespace).ok
+                checked += 1
+        assert checked >= 16
 
 
 def _array(engine, provider):
