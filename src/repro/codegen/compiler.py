@@ -23,10 +23,6 @@ from . import verifier as _verifier
 
 __all__ = ["CompiledQuery", "compile_source", "timed"]
 
-#: module-level switch for the verifier gate (see codegen.verifier);
-#: benchmarks can flip this off, or set REPRO_VERIFY_GENERATED=0
-VERIFY_GENERATED: Optional[bool] = None
-
 #: name of the generated entry point, mirroring the paper's ``Execute``
 ENTRY_POINT = "execute"
 
@@ -51,8 +47,6 @@ class CompiledQuery:
     minimal: bool = False
     #: static analysis of the originating query (set by the provider)
     analysis: Any = None
-    #: verifier report for the generated module (set by compile_source)
-    verifier_report: Any = None
 
     def execute(self, sources: List[Any], params: Dict[str, Any]) -> Any:
         return self.fn(sources, params)
@@ -72,20 +66,16 @@ def compile_source(
     of the generated function.
 
     The source is parsed once.  Between compiling and executing, the
-    verifier (see :mod:`repro.codegen.verifier`) checks the code object
-    that compile built — on by default, opt out per call with
-    ``verify=False``, per process with ``compiler.VERIFY_GENERATED =
-    False``, or via ``REPRO_VERIFY_GENERATED=0``.  Violations raise
-    :class:`~repro.errors.GeneratedCodeViolation` (a ``CodegenError``)
-    carrying the report and the offending source.  The returned seconds
-    time compiling and executing the module, not the verifier.
+    gate (:func:`repro.codegen.verifier.verify_code`) judges the code
+    object that compile built — on by default; skip it for one call with
+    ``verify=False`` or for the process with ``REPRO_VERIFY_GENERATED=0``.
+    A finding raises :class:`~repro.errors.GeneratedCodeViolation` (a
+    ``CodegenError``) carrying the findings, each naming its line, and the
+    offending source.  The returned seconds time compiling and executing
+    the module, not the gate.
     """
     if verify is None:
-        verify = (
-            VERIFY_GENERATED
-            if VERIFY_GENERATED is not None
-            else env("REPRO_VERIFY_GENERATED")
-        )
+        verify = env("REPRO_VERIFY_GENERATED")
     with TRACER.span("codegen.compile_source", entry=entry_point):
         started = time.perf_counter()
         try:
@@ -97,11 +87,7 @@ def compile_source(
             ) from exc
         elapsed = time.perf_counter() - started
         if verify:
-            # raises GeneratedCodeViolation, explained by the AST pass;
-            # the report is stashed for the provider (fn.__globals__)
-            namespace["__verifier_report__"] = _verifier.check_generated(
-                source, namespace, entry_point, code
-            )
+            _verifier.check_generated(source, namespace, entry_point, code)
         started = time.perf_counter()
         exec(code, namespace)  # noqa: S102 - executing our own generated code
         elapsed += time.perf_counter() - started

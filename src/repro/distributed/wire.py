@@ -60,16 +60,12 @@ class UnshippableError(DistributedError):
     """
 
 
-#: namespace names never shipped: rebuilt by ``exec`` / interpreter-local
-_SKIP_BINDINGS = frozenset({"__builtins__", "__verifier_report__"})
-
-
 def encode_namespace(namespace: Dict[str, Any]) -> List[Tuple[Any, ...]]:
     """Recipe for rebuilding a generated module's globals in a worker."""
     spec: List[Tuple[Any, ...]] = []
     for name, value in namespace.items():
-        if name in _SKIP_BINDINGS:
-            continue
+        if name == "__builtins__":
+            continue  # interpreter-local; exec rebuilds it
         if getattr(value, "__globals__", None) is namespace:
             # defined by the generated module itself; exec re-creates it
             continue

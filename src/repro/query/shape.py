@@ -368,11 +368,6 @@ class Shape:
         )
         compiled.plan_text = plan_to_text(plan)
         compiled.analysis = analysis
-        # the verifier gate ran inside compile_source; recover its report
-        if compiled.verifier_report is None and compiled.fn is not None:
-            compiled.verifier_report = getattr(
-                compiled.fn, "__globals__", {}
-            ).get("__verifier_report__")
         return compiled
 
     def partial(self, engine: str, kind: str) -> Optional[Any]:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.codegen.verifier as verifier
 from repro.adaptive import AdaptiveChooser, ProfileStore
 from repro.distributed import shutdown_pools
 from repro.observability import TRACER
@@ -205,9 +206,18 @@ def test_mid_process_elision_flip_recompiles(clean_env):
 
 
 def test_verify_generated_off_skips_verification(clean_env):
-    assert _source(QueryProvider()).verifier_report is not None
+    real, gated = verifier.verify_code, []
+
+    def counted(*args):
+        gated.append(args)
+        return real(*args)
+
+    clean_env.setattr(verifier, "verify_code", counted)
+    _source(QueryProvider())
+    assert len(gated) == 1  # one call per compiled module
     clean_env.setenv("REPRO_VERIFY_GENERATED", "off")
-    assert _source(QueryProvider()).verifier_report is None
+    _source(QueryProvider())
+    assert len(gated) == 1
 
 
 KEY = "0123456789abcdef0123"

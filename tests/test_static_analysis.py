@@ -16,15 +16,12 @@ import pytest
 from pinned_hybrids import pinned_hybrids  # noqa: F401 - fixture
 import repro.analysis.effects as effects_module
 import repro.codegen.compiler as compiler_module
+import repro.codegen.verifier as verifier_module
 from repro.analysis.effects import analyze_callable
 from repro.codegen.compiler import compile_source
 from repro.codegen.hybrid_backend import HybridBackend
 from repro.codegen.native_backend import NativeBackend
-from repro.codegen.verifier import (
-    SAFE_BUILTINS,
-    check_generated,
-    verify_source,
-)
+from repro.codegen.verifier import SAFE_BUILTINS, check_generated, verify_code
 from repro.errors import (
     CodegenError,
     GeneratedCodeViolation,
@@ -238,7 +235,8 @@ class TestAnalysisCaching:
         assert provider.cache.stats.analysis_hits >= 1
         assert provider.cache.stats.analysis_misses == 1
 
-    def test_compiled_query_carries_analysis(self):
+    def test_compiled_query_carries_analysis(self, monkeypatch):
+        gated = _spy_gate(monkeypatch)
         provider = QueryProvider()
         q = (
             from_struct_array(make_array())
@@ -247,8 +245,7 @@ class TestAnalysisCaching:
         )
         compiled = provider.compile_info(q.expr, q.sources, "compiled")
         assert compiled.analysis is not None
-        assert compiled.verifier_report is not None
-        assert compiled.verifier_report.ok
+        assert gated == [()]  # the module compiled under the gate, clean
 
 
 GOOD_SOURCE = '''"""Generated module."""
@@ -263,84 +260,88 @@ def execute(sources, _params):
 '''
 
 
+def _spy_gate(monkeypatch):
+    """The findings of every module the gate judges from now on."""
+    real, seen = verifier_module.verify_code, []
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(verifier_module, "verify_code", spy)
+    return seen
+
+
+def _gate(source, namespace):
+    """The gate's findings on *source*, compiled as compile_source does."""
+    return verify_code(compile(source, "<t>", "exec"), namespace)
+
+
 class TestVerifier:
     def test_clean_module_passes(self):
-        report = verify_source(GOOD_SOURCE, {})
-        assert report.ok, report.describe()
+        assert _gate(GOOD_SOURCE, {}) == ()
 
     def test_unbound_name(self):
         corrupted = GOOD_SOURCE.replace("_param_x", "_param_y", 1)
-        report = verify_source(corrupted, {})
-        assert not report.ok
-        assert any("unbound name" in v for v in report.violations)
+        findings = _gate(corrupted, {})
+        assert any("unbound name" in v for v in findings), findings
 
     def test_missing_namespace_binding(self):
         source = GOOD_SOURCE.replace(
             "elem_1 > _param_x", "_helper(elem_1, _param_x)"
         )
-        assert not verify_source(source, {}).ok
+        assert _gate(source, {}) != ()
         # binding the helper in the namespace resolves the load
-        assert verify_source(source, {"_helper": max}).ok
+        assert _gate(source, {"_helper": max}) == ()
 
     def test_import_forbidden(self):
         source = GOOD_SOURCE.replace(
             "    out_1 = []", "    import os\n    out_1 = []"
         )
-        report = verify_source(source, {})
-        assert any("import" in v for v in report.violations)
+        findings = _gate(source, {})
+        assert any("import" in v for v in findings), findings
 
     def test_eval_forbidden(self):
         source = GOOD_SOURCE.replace(
             "elem_1 > _param_x", "eval('elem_1 > _param_x')"
         )
-        report = verify_source(source, {})
-        assert any("forbidden builtin 'eval'" in v for v in report.violations)
+        findings = _gate(source, {})
+        assert any("forbidden builtin 'eval'" in v for v in findings), findings
 
     def test_global_forbidden(self):
+        # a bare declaration compiles to nothing; the write is what runs
         source = GOOD_SOURCE.replace(
-            "    out_1 = []", "    global leak_1\n    out_1 = []"
+            "    out_1 = []", "    global leak_1\n    leak_1 = 1\n    out_1 = []"
         )
-        report = verify_source(source, {})
-        assert any("'global'" in v for v in report.violations)
+        findings = _gate(source, {})
+        assert any("'global'" in v for v in findings), findings
 
     def test_missing_entry_point(self):
         source = GOOD_SOURCE.replace("def execute", "def run")
-        report = verify_source(source, {})
-        assert any("entry point" in v for v in report.violations)
+        findings = _gate(source, {})
+        assert any("entry point" in v for v in findings), findings
 
     def test_wrong_entry_signature(self):
         source = GOOD_SOURCE.replace(
             "def execute(sources, _params):",
             "def execute(sources, _params, extra):",
         )
-        report = verify_source(source, {})
-        assert any("exactly (sources, params)" in v for v in report.violations)
+        findings = _gate(source, {})
+        assert any("exactly (sources, params)" in v for v in findings), findings
 
     def test_top_level_statement_rejected(self):
         source = GOOD_SOURCE + "\nSTATE = {}\n"
-        report = verify_source(source, {})
-        assert any("top-level statement" in v for v in report.violations)
+        findings = _gate(source, {})
+        assert any("top-level code runs" in v for v in findings), findings
 
     def test_local_shadowing_namespace(self):
         source = GOOD_SOURCE.replace("out_1 = []", "_np = []")
-        report = verify_source(source, {"_np": np})
-        assert any("shadows a namespace binding" in v for v in report.violations)
+        findings = _gate(source, {"_np": np})
+        assert any("shadows a namespace binding" in v for v in findings), findings
 
     def test_comprehensions_and_nested_defs_resolve(self):
-        source = '''"""Generated module."""
-
-def execute(sources, _params):
-    def _consume_1(rows_1):
-        return [r_1 for r_1 in rows_1 if r_1 > 0]
-    page_1 = []
-    append_1 = page_1.append
-    for elem_1 in sources[0]:
-        append_1(elem_1)
-        del page_1[:]
-    return _consume_1(sorted(sources[0]))
-'''
-        report = verify_source(source, {})
-        assert report.ok, report.describe()
+        source = dict(case[:2] for case in CLEAN)["nested_defs_comprehensions_del"]
+        assert _gate(source, {}) == ()
 
     def test_check_generated_raises_typed_error(self):
         corrupted = GOOD_SOURCE.replace("_param_x", "_param_y", 1)
@@ -367,17 +368,7 @@ class TestCompileGate:
         entry, _ = compile_source(self.CORRUPTED, {}, verify=False)
         assert callable(entry)  # unbound name only explodes when reached
 
-    def test_opt_out_per_process(self):
-        compiler_module.VERIFY_GENERATED = False
-        try:
-            entry, _ = compile_source(self.CORRUPTED, {})
-            assert callable(entry)
-        finally:
-            compiler_module.VERIFY_GENERATED = None
-        with pytest.raises(GeneratedCodeViolation):
-            compile_source(self.CORRUPTED, {})
-
-    def test_syntax_error_chains_verifier_report(self):
+    def test_syntax_error_raises_codegen_error(self):
         with pytest.raises(CodegenError, match="does not parse"):
             compile_source("def execute(sources, _params:\n  pass", {})
 
@@ -388,7 +379,33 @@ def _in_body(line):
     return GOOD_SOURCE.replace(header, header + line + "\n", 1)
 
 
-#: (label, module, namespace, what the AST pass explains) — one module
+_HELPER_SOURCE = GOOD_SOURCE.replace(
+    "elem_1 > _param_x", "_helper(elem_1, _param_x)"
+)
+
+#: (label, module, namespace) — modules the gate must accept
+CLEAN = [
+    ("good_source", GOOD_SOURCE, {}),
+    ("namespace_bound_helper", _HELPER_SOURCE, {"_helper": max}),
+    (
+        "nested_defs_comprehensions_del",
+        '''"""Generated module."""
+
+def execute(sources, _params):
+    def _consume_1(rows_1):
+        return [r_1 for r_1 in rows_1 if r_1 > 0]
+    page_1 = []
+    append_1 = page_1.append
+    for elem_1 in sources[0]:
+        append_1(elem_1)
+        del page_1[:]
+    return _consume_1(sorted(sources[0]))
+''',
+        {},
+    ),
+]
+
+#: (label, module, namespace, what the gate's finding says) — one module
 #: per violation class, each written so that the violation runs
 GATED = [
     (
@@ -399,7 +416,7 @@ GATED = [
     ),
     (
         "missing_namespace_binding",
-        GOOD_SOURCE.replace("elem_1 > _param_x", "_helper(elem_1, _param_x)"),
+        _HELPER_SOURCE,
         {},
         "unbound name '_helper' at line 7",
     ),
@@ -410,7 +427,7 @@ GATED = [
         "global_write",
         _in_body("    global leak_1\n    leak_1 = 1"),
         {},
-        "'global' declaration at line 4",
+        "'global' declaration at line 5",
     ),
     (
         "nonlocal_write",
@@ -419,7 +436,7 @@ GATED = [
             "        nonlocal leak_1\n        leak_1 = 1"
         ),
         {},
-        "'nonlocal' declaration at line 6",
+        "'nonlocal' write to 'leak_1' at line 7",
     ),
     (
         "shadowing",
@@ -431,7 +448,7 @@ GATED = [
         "top_level_statement",
         GOOD_SOURCE + "\nSTATE = {}\n",
         {},
-        "top-level statement Assign at line 11",
+        "top-level code runs BUILD_MAP at line 11",
     ),
     (
         "missing_entry_point",
@@ -443,13 +460,13 @@ GATED = [
         "entry_signature",
         GOOD_SOURCE.replace("_params):", "_params, extra):"),
         {},
-        "exactly (sources, params)",
+        "entry point at line 3 must take exactly (sources, params)",
     ),
     (
         "entry_defaults",
         GOOD_SOURCE.replace("_params):", "_params=None):"),
         {},
-        "exactly (sources, params)",
+        "top-level code runs a decorated or defaulted def at line 3",
     ),
     (
         "decorated_entry",
@@ -458,81 +475,75 @@ GATED = [
             "def _wrap_1(fn_1):\n    return fn_1\n\n@_wrap_1\ndef execute",
         ),
         {},
-        "entry point must not be decorated",
+        "top-level code runs LOAD_NAME at line 6",
+    ),
+    (
+        "class_body",
+        _in_body("    class K_1:\n        z_1 = 1"),
+        {},
+        "class body 'K_1' at line 4",
     ),
 ]
 
 
 class TestCodeObjectGate:
-    """compile_source judges the code object compile() built; the AST
-    pass runs only to explain a rejection."""
+    """compile_source judges the code object compile() built, and each
+    finding names its line."""
 
     @pytest.mark.parametrize(
-        "source,namespace,explained",
+        "source,namespace",
+        [case[1:] for case in CLEAN],
+        ids=[case[0] for case in CLEAN],
+    )
+    def test_gate_accepts(self, source, namespace):
+        assert verify_code(compile(source, "<t>", "exec"), namespace) == ()
+
+    @pytest.mark.parametrize(
+        "source,namespace,says",
         [case[1:] for case in GATED],
         ids=[case[0] for case in GATED],
     )
-    def test_gate_rejects_and_ast_pass_explains(
-        self, source, namespace, explained
-    ):
-        from repro.codegen.verifier import verify_code
-
-        assert verify_code(compile(source, "<t>", "exec"), namespace)
+    def test_gate_rejects_and_ast_pass_explains(self, source, namespace, says):
         with pytest.raises(GeneratedCodeViolation) as excinfo:
             compile_source(source, dict(namespace))
-        assert any(explained in v for v in excinfo.value.violations)
+        violations = excinfo.value.violations
+        assert any(says in v for v in violations), violations
+        # only a missing entry point has no instruction to point at
+        assert all(" at line " in v or "defines no" in v for v in violations)
         assert excinfo.value.source == source
 
-    def test_gate_reports_what_the_ast_pass_cannot_point_at(self):
-        # the AST pass accepts a class body; the gate does not, because a
-        # class body's name lookups would escape the global-load check
-        source = _in_body("    class K_1:\n        z_1 = 1")
-        assert verify_source(source, {}).ok
-        with pytest.raises(GeneratedCodeViolation) as excinfo:
-            compile_source(source, {})
-        assert any("class body 'K_1'" in v for v in excinfo.value.violations)
-
     def test_code_that_compiles_to_nothing_is_not_judged(self):
-        # an unused 'global' runs nothing; the AST pass still names it
-        source = _in_body("    global leak_1")
-        assert not verify_source(source, {}).ok
-        entry, _ = compile_source(source, {})
+        # an unused 'global' runs nothing
+        entry, _ = compile_source(_in_body("    global leak_1"), {})
         assert entry([[1, 5]], {"x": 2}) == [5]
 
     def test_clean_module_parses_once_and_skips_the_ast_pass(
         self, monkeypatch
     ):
-        import repro.codegen.verifier as verifier_module
-
         compiles = []
 
         def counted(*args, **kwargs):
             compiles.append(args[1])
             return compile(*args, **kwargs)
 
-        def no_ast(*args, **kwargs):
-            raise AssertionError("AST pass ran on a clean module")
-
         monkeypatch.setattr(compiler_module, "compile", counted, raising=False)
-        monkeypatch.setattr(verifier_module, "verify_source", no_ast)
+        gated = _spy_gate(monkeypatch)
         provider = QueryProvider()
         for engine in REPRO_ENGINES[1:]:
             # sequential: one module per engine, no morsel kernels
             q = _array(engine, provider).where(lambda s: s.v > 2.0)
             q = q.select(lambda s: s.k).in_parallel(1)
             assert q.to_list() == [2]
-            compiled = provider.compile_info(q.expr, q.sources, engine)
-            assert compiled.verifier_report.ok
         assert compiles == ["<repro-generated>"] * 3
+        assert gated == [()] * 3
 
     def test_check_generated_parses_when_given_no_code(self):
-        assert check_generated(GOOD_SOURCE, {}).ok
-        with pytest.raises(GeneratedCodeViolation, match="does not parse"):
+        assert check_generated(GOOD_SOURCE, {}) is None
+        with pytest.raises(GeneratedCodeViolation, match="does not parse: "):
             check_generated("def execute(sources, _params:\n  pass", {})
 
-    def test_gate_agrees_with_ast_pass_on_generated_modules(self):
-        """Every TPC-H module each engine emits passes both passes."""
-        from repro.codegen.verifier import verify_code
+    def test_gate_accepts_every_tpch_module(self):
+        """Every TPC-H module each codegen engine emits passes the gate."""
         from repro.tpch import TPCHData, q1, q2, q3, q4, q13, q16, q21, q22
 
         data = TPCHData(scale=0.002)
@@ -545,10 +556,8 @@ class TestCodeObjectGate:
                     compiled = provider.compile_info(q.expr, q.sources, engine)
                 except UnsupportedQueryError:
                     continue
-                namespace = compiled.fn.__globals__
                 code = compile(compiled.source_code, "<t>", "exec")
-                assert verify_code(code, namespace) == ()
-                assert verify_source(compiled.source_code, namespace).ok
+                assert verify_code(code, compiled.fn.__globals__) == ()
                 checked += 1
         assert checked >= 16
 
