@@ -411,9 +411,9 @@ def decide_distributed(plan: Plan) -> ParallelSplit:
     very large morsel, and the merge algebra is identical — with one
     extra allowance: **inner joins** distribute under the broadcast-build
     strategy.  The build side ships whole to every worker and is built
-    exactly once per worker process (not once per morsel, the cost that
-    keeps inner joins sequential on the thread tier), while the probe
-    side is sharded; per-shard probe outputs concatenate in shard order,
+    once per shard task — one per worker and query, not once per morsel,
+    the cost that keeps inner joins sequential on the thread tier — while
+    the probe side is sharded; per-shard probe outputs concatenate in shard order,
     reproducing the sequential probe order.  Left/outer joins and set
     operations still fall back, with reasons surfaced on ``explain()``.
     """
@@ -527,7 +527,7 @@ def _pipeline_blocker(node: Plan, distributed: bool = False) -> Optional[Plan]:
     measured 3–20× slower than one sequential pass.  Until the build
     phase is shared across morsels, inner joins fall back to sequential
     on the thread tier.  The distributed tier runs one kernel invocation
-    per *shard*, so the build side is built exactly once per worker
+    per *shard*, so the build side is built once per worker and query
     (broadcast-build) and inner joins distribute; left joins stay
     blocked everywhere — their unmatched-row default handling is still
     per-probe-row, but keeping the thread and process tiers' join
@@ -546,7 +546,7 @@ def _pipeline_blocker(node: Plan, distributed: bool = False) -> Optional[Plan]:
         return _pipeline_blocker(node.left, distributed)
     if distributed and isinstance(node, Join) and node.kind == "inner":
         # broadcast-build: the probe (left) side is sharded, the build
-        # side ships whole to each worker and is built once per worker
+        # side ships whole to each worker and is built once per shard task
         return _pipeline_blocker(node.left, distributed)
     return node
 

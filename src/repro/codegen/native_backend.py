@@ -1230,6 +1230,10 @@ class _VectorEmitter:
     # -- result delivery ---------------------------------------------------------
 
     def _emit_result(self, frame: Frame, whole_rows: bool = False) -> str:
+        if self._morsel_ordinal is not None and not isinstance(
+            self.ir.plan, GroupAggregate
+        ):
+            return self._emit_partial(frame, whole_rows)
         if frame.is_single:
             col = frame.column(Frame.SINGLE)
             return f"_decode_values({col.code}, {col.kind!r})"
@@ -1249,6 +1253,23 @@ class _VectorEmitter:
         cols = ", ".join(col.code for col in frame.columns.values())
         kinds = ", ".join(repr(col.kind) for col in frame.columns.values())
         return f"_decode_rows(({cols},), ({kinds},), {type_name})"
+
+    def _emit_partial(self, frame: Frame, whole_rows: bool) -> str:
+        """A rows-mode morsel kernel's return (a group-mode kernel's root is
+        its GroupAggregate): the arguments :meth:`_emit_result` would hand
+        its surface, undecoded — partials are decoded once, where they are
+        folded."""
+        cols = ", ".join(col.code for col in frame.columns.values())
+        kinds = ", ".join(repr(col.kind) for col in frame.columns.values())
+        if frame.is_single:
+            surface, record = "values", "None"
+        elif whole_rows:
+            surface, record = "view", repr(tuple(frame.columns))
+        else:
+            surface = "rows"
+            record = self._bind(make_record_type(tuple(frame.columns)), "rowtype")
+        self.namespace["_vector_partial"] = _vec.VectorPartial
+        return f"_vector_partial({surface!r}, ({cols},), ({kinds},), {record})"
 
 
 def _preserves_rows(plan: Plan) -> bool:

@@ -16,7 +16,8 @@ Execution per query:
    and build one task per shard: the driver shard token plus a
    broadcast ``("full",)`` token for every other source — the
    broadcast-build join strategy, where a build side is shipped once
-   per worker and built once per worker process.
+   per worker and stays resident there; the kernel rebuilds its hash
+   state from it on every task.
 2. **gather** (``dist.gather`` span) — the scheduler places tasks on
    resident workers, detects losses, resubmits; partials come back in
    shard-index order.  Worker-reported kernel seconds are recorded as

@@ -8,10 +8,14 @@ degradation shrinks its *shard fan-out* — a saturated pool admits more
 queries at lower per-query parallelism, the same policy the thread tier
 applies to morsel workers.
 
-Placement is residency-first: a shard task goes to the live worker that
-already holds the most of its table payloads (warm queries ship no
-table bytes at all), ties broken by the smallest in-flight queue, then
-by worker index — deterministic for tests.
+Placement is load-first: a shard task goes to the live worker with the
+fewest tasks in flight, ties broken by residency — the worker that
+already holds the most of the task's table payloads — then by worker
+index, deterministic for tests.  The dispatch lock admits one scatter at
+a time, so in-flight work is always this scatter's own: a query's shards
+spread one per worker, and a warm query (the same shards on the same
+workers) ships no table bytes at all.  A cold query ships its broadcast
+tables to every worker that runs one of its shards.
 
 Failure handling: every worker has a *private* result queue (a SIGKILL
 mid-``put`` can only ever corrupt the dead worker's own channel, never
@@ -242,7 +246,7 @@ class ClusterScheduler:
     ) -> _WorkerHandle:
         def score(handle: _WorkerHandle) -> tuple:
             resident = sum(1 for t in tokens if t in handle.tables)
-            return (-resident, len(handle.inflight), handle.worker_id)
+            return (len(handle.inflight), -resident, handle.worker_id)
 
         return min(handles, key=score)
 

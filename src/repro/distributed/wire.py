@@ -12,15 +12,21 @@ tuples plus pickle.  Three kinds of payload exist —
   both processes agree on row identity), and everything else by pickle.
   Functions *defined by the generated module itself* are skipped — the
   worker's ``exec`` of the source re-creates them.
-* **result values** — partial rows may be namedtuple records, plain
-  tuples, dates, or numpy scalars.  Every tuple is tagged (``__rec__`` /
-  ``__tup__``) so decoding is unambiguous, and the private
-  ``_NO_VALUE`` sentinel of the scalar merge travels as its own tag
-  (object identity does not survive pickling).  A whole partial is a
-  list: when it is a homogeneous run of one flat record type — what a
-  rows-mode kernel returns — it travels as a single ``__recs__`` frame
-  (type name and fields once, then plain tuples), so neither side pays
-  per-row tagging; any other list encodes value by value.
+* **result values** — a vector kernel's rows-mode partial is a
+  :class:`~repro.runtime.vectorized.VectorPartial` and travels as one
+  ``__cols__`` frame: its surface, its record as ``(type name, fields)``
+  (or its field names), its column kinds and its NumPy column arrays,
+  which pickle as raw buffers.  Nothing is decoded in the worker; the
+  coordinator rebuilds the partial and its fold decodes it once.  Other
+  partial rows may be namedtuple records, plain tuples, dates, or numpy
+  scalars.  Every tuple is tagged (``__rec__`` / ``__tup__``) so decoding
+  is unambiguous, and the private ``_NO_VALUE`` sentinel of the scalar
+  merge travels as its own tag (object identity does not survive
+  pickling).  The compiled engine's rows-mode partial is a list: when it
+  is a homogeneous run of one flat record type it travels as a single
+  ``__recs__`` frame (type name and fields once, then plain tuples), so
+  neither side pays per-row tagging; any other list encodes value by
+  value.
 * **params** — the user's parameter dict, minus the reserved morsel
   window keys and the cancellation token (a token holds a lock; the
   coordinator checkpoints cancellation between gather steps instead).
@@ -41,6 +47,7 @@ from ..errors import DistributedError
 from ..expressions.evaluator import make_record_type
 from ..runtime.cancellation import CANCEL_PARAM
 from ..runtime.parallel import MORSEL_START, MORSEL_STOP, _NO_VALUE
+from ..runtime.vectorized import VectorPartial
 
 __all__ = [
     "UnshippableError",
@@ -131,9 +138,15 @@ def _record_frame(rows: list) -> Any:
 
 def encode_value(value: Any) -> Any:
     """Tag tuples/records/sentinels so decode is unambiguous; a list
-    encodes element-wise, or as one frame when it is all flat records."""
+    encodes element-wise, or as one frame when it is all flat records; a
+    vector partial ships its columns undecoded."""
     if value is _NO_VALUE:
         return ("__noval__",)
+    if isinstance(value, VectorPartial):
+        record = value.record
+        if value.surface == "rows":
+            record = (record.__name__, tuple(record._fields))
+        return ("__cols__", value.surface, record, value.kinds, value.columns)
     if isinstance(value, tuple):
         if hasattr(value, "_fields"):
             return (
@@ -159,6 +172,11 @@ def decode_value(value: Any) -> Any:
             return record_type(*(decode_value(v) for v in value[3]))
         if tag == "__recs__":
             return list(map(_record_type(value[1], value[2])._make, value[3]))
+        if tag == "__cols__":
+            _, surface, record, kinds, columns = value
+            if surface == "rows":
+                record = _record_type(*record)
+            return VectorPartial(surface, columns, kinds, record)
         if tag == "__tup__":
             return tuple(decode_value(v) for v in value[1])
     elif isinstance(value, list):

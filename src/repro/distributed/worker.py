@@ -46,6 +46,7 @@ from ..runtime.parallel import (
     MORSEL_STOP,
     _EMPTY_AGGREGATE_MSG,
     _NO_VALUE,
+    rows_partial,
 )
 from . import shards, wire
 
@@ -74,7 +75,8 @@ def _run_task(
     params: Dict[str, Any],
 ) -> Any:
     """One kernel invocation over the whole local shard (start=0); the
-    partial comes back wire-encoded."""
+    partial comes back wire-encoded — a vector kernel's as its columns,
+    which only the coordinator's fold decodes."""
     shard_rows = len(sources[artifact["morsel_ordinal"]])
     params = dict(params)
     params[MORSEL_START] = 0
@@ -93,7 +95,7 @@ def _run_task(
                 else:
                     raise
         return wire.encode_value(partial)
-    return wire.encode_value(list(artifact["kernels"][0](sources, params)))
+    return wire.encode_value(rows_partial(artifact["kernels"][0](sources, params)))
 
 
 def worker_main(worker_id: int, tasks: Any, results: Any) -> None:

@@ -11,7 +11,12 @@ merge deterministically in morsel order:
 * **rows** — pipelined plans (scan/filter/project/flat-map/join probes)
   concatenate their morsel outputs; the probe order of
   :func:`~repro.runtime.vectorized.hash_join_indexes` is preserved, so the
-  concatenation reproduces the sequential row order exactly.
+  concatenation reproduces the sequential row order exactly.  A vector
+  kernel's partial stays columnar (a
+  :class:`~repro.runtime.vectorized.VectorPartial`) on a worker thread,
+  across the process boundary and in the recycler's window; each is
+  decoded once, at the fold, in morsel order, by the result surface the
+  sequential module would call.
 * **scalar** — one partial kernel per physical aggregate slot (``avg``
   decomposed into ``sum`` + ``count`` first, exactly like the §6.1.2
   streaming decomposition); partials fold with ``+`` / ``min`` / ``max``.
@@ -65,6 +70,7 @@ from ..codegen.lower import ParallelSplit
 from ..storage.schema import date_to_days, days_to_date
 from .cancellation import cancel_check
 from .streaming import StreamingGroupAggregator
+from .vectorized import VectorPartial
 
 __all__ = [
     "DEFAULT_MORSEL_ROWS",
@@ -81,6 +87,7 @@ __all__ = [
     "merge_scalar_slots",
     "morsel_bounds",
     "morsel_slice",
+    "rows_partial",
     "source_length",
 ]
 
@@ -108,6 +115,14 @@ def morsel_slice(source: Any, start: int, stop: int) -> Any:
         return source[start:stop]
     except TypeError:
         return itertools.islice(iter(source), start, stop)
+
+
+def rows_partial(result: Any) -> Any:
+    """A rows- or group-mode kernel's result as a partial: a rows-mode
+    vector kernel's :class:`~repro.runtime.vectorized.VectorPartial` as it
+    is (decoded at the fold), any other result — a generator — materialized
+    where the kernel ran."""
+    return result if isinstance(result, VectorPartial) else list(result)
 
 
 def source_length(source: Any) -> Optional[int]:
@@ -400,13 +415,19 @@ class ParallelQuery:
 
     def fold(self, state: Any, partials: List[Any]) -> Any:
         """Merge *partials* (in window order) into *state* — ``None`` for
-        no prior state — and return the new pre-finalization state."""
+        no prior state — and return the new pre-finalization state.  In
+        rows mode that state is decoded rows: this is where a
+        :class:`~repro.runtime.vectorized.VectorPartial` is decoded, so a
+        delta window decodes only its own partials."""
+        if self.mode == "rows":
+            rows = [] if state is None else list(state)
+            for part in partials:
+                rows.extend(part.decode() if isinstance(part, VectorPartial) else part)
+            return rows
         parts = partials if state is None else [state] + partials
         if self.mode == "scalar":
             return merge_scalar_slots(self.scalar_spec.slot_kinds, parts)
-        if self.mode == "group":
-            return merge_group_table(self.group_spec, parts)
-        return [row for part in parts for row in part]
+        return merge_group_table(self.group_spec, parts)
 
     def finish(self, state: Any, params: Dict[str, Any]) -> Any:
         """Finalize a folded state into the query's result: the scalar
@@ -454,9 +475,9 @@ class ParallelQuery:
                             self.kernels, self.scalar_spec.slot_kinds
                         )
                     ]
-                # materialize inside the worker: the kernel (and any
-                # generator it returns) runs off the main thread
-                return list(self.kernels[0].execute(sources, morsel_params))
+                # the kernel (and any generator it returns) runs off the
+                # main thread; a vector partial stays undecoded until fold
+                return rows_partial(self.kernels[0].execute(sources, morsel_params))
 
         if redecide is not None and len(bounds) > 1 and self.mode != "scalar":
             # mid-flight re-decision at the first pipeline-breaker

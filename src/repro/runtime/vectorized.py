@@ -66,6 +66,7 @@ __all__ = [
     "distinct_indexes",
     "decode_rows",
     "decode_values",
+    "VectorPartial",
     "coerce_str",
     "coerce_date",
 ]
@@ -664,6 +665,41 @@ def view_rows(columns: dict, kinds: dict, names: tuple):
     n = len(next(iter(columns.values()))) if columns else 0
     for index in range(n):
         yield RowView(columns, kinds, names, index)
+
+
+class VectorPartial:
+    """A rows-mode morsel kernel's result, not yet decoded.
+
+    The arguments the sequential module's return line would have passed to
+    one result surface — ``surface`` is ``"rows"`` (:func:`decode_rows`;
+    ``record`` is the record type), ``"values"`` (:func:`decode_values`
+    over the one column) or ``"view"`` (:func:`view_rows`; ``record`` is
+    the field names).  Keeping the columns lets a partial cross a process
+    boundary as a few arrays and be decoded exactly once, where partials
+    are folded (:meth:`~repro.runtime.parallel.ParallelQuery.fold`).
+    """
+
+    __slots__ = ("surface", "columns", "kinds", "record")
+
+    def __init__(self, surface: str, columns: tuple, kinds: tuple, record=None):
+        self.surface = surface
+        self.columns = columns
+        self.kinds = kinds
+        self.record = record
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def decode(self):
+        """The rows the sequential surface yields for these columns."""
+        if self.surface == "values":
+            return decode_values(self.columns[0], self.kinds[0])
+        if self.surface == "view":
+            names = self.record
+            return view_rows(
+                dict(zip(names, self.columns)), dict(zip(names, self.kinds)), names
+            )
+        return decode_rows(self.columns, self.kinds, self.record)
 
 
 def coerce_str(value) -> bytes:

@@ -521,6 +521,58 @@ def test_all_workers_dead_raises_typed_error(tmp_path):
         scheduler.shutdown()
 
 
+#: reports which worker process ran the task
+_PID_SOURCE = """\
+def execute(sources, params):
+    import os
+    return [os.getpid()]
+"""
+
+
+def test_broadcast_join_scatter_puts_one_task_per_worker():
+    """A two-shard broadcast-join scatter runs one task per worker, cold
+    and warm.  Placement scores load before residency: the cold run ships
+    the build table to both workers, so the warm run finds every token
+    resident and ships nothing."""
+    probe, build = shards_mod.pin(ARR_A), shards_mod.pin(ARR_B)
+    build_token = shards_mod.table_token(build, ("full",))
+    recipes = {build_token: lambda: shards_mod.shard_payload_full(build)}
+    plans = []
+    for lo, hi in shards_mod.shard_bounds(len(probe), 2):
+        token = shards_mod.table_token(probe, ("shard", lo, hi))
+        recipes[token] = lambda lo=lo, hi=hi: shards_mod.shard_payload(probe, lo, hi)
+        plans.append((token, build_token))
+    payload = {
+        "mode": "rows",
+        "morsel_ordinal": 0,
+        "slot_kinds": (),
+        "kernels": [(_PID_SOURCE, [])],
+    }
+    shipped = METRICS.counter("dist.tables_shipped")
+    scheduler = ClusterScheduler(2)
+    try:
+        runs = []
+        for _ in range(2):  # cold, then warm
+            before = shipped.value
+            partials, _ = scheduler.run_tasks(
+                "pid-artifact",
+                payload,
+                plans,
+                pickle.dumps({}),
+                lambda token: recipes[token](),
+            )
+            pids = [wire.decode_value(part)[0] for part in partials]
+            runs.append((pids, shipped.value - before))
+        workers = {handle.process.pid for handle in scheduler.live_handles()}
+    finally:
+        scheduler.shutdown()
+    (cold_pids, cold_shipped), (warm_pids, warm_shipped) = runs
+    assert len(set(cold_pids)) == 2 and set(cold_pids) == workers
+    assert warm_pids == cold_pids
+    assert cold_shipped == 2 + 2  # a shard per worker, the build table twice
+    assert warm_shipped == 0
+
+
 def test_worker_churn_under_real_queries():
     """Kill a shared-pool worker while real queries stream through: every
     result stays correct (heal or resubmit, gather never corrupts)."""
