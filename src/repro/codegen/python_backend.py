@@ -18,21 +18,31 @@ but driven by the IR's operator chain rather than by walking the plan:
 ``produce(i, consume)`` generates the loop nest for the chain prefix
 ``operators[:i]`` and invokes *consume* with the variable holding the
 current element inside the innermost block.
+
+Records are built only where they leave the module.  A ``new {...}`` that
+downstream code reads only through ``.field`` — a group, join or set key,
+a join's build row, an intermediate projection — is emitted as a plain
+tuple; every record-valued variable's field layout is kept on the printer
+(``tuple_defs``), so ``v.f`` renders as ``v[i]``.  Records that are
+yielded, buffered by a sort or top-N, or passed on whole are built with
+``_tuple_new(RT, (...))``, skipping the named tuple's Python ``__new__``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..analysis import analyze_ir
 from ..errors import CodegenError, ExecutionError
 from ..observability.tracer import TRACER
 from ..options import env
+from ..expressions.analysis import member_usage
 from ..expressions.nodes import (
     AggCall,
     Expr,
     Lambda,
+    New,
     Var,
     structural_key,
 )
@@ -62,7 +72,13 @@ from ..runtime.parallel import morsel_slice
 from ..runtime.sorting import CompositeKey, quicksort_indexes
 from ..runtime.topn import TopNHeap
 from .compiler import CompiledQuery, compile_source, timed
-from .ir import Pipeline, PipelineBreaker, QueryIR, physical_slots
+from .ir import (
+    Pipeline,
+    PipelineBreaker,
+    QueryIR,
+    lambda_fields,
+    physical_slots,
+)
 from .lower import lower_plan
 from .source import NameAllocator, SourceWriter
 
@@ -144,6 +160,9 @@ class _Emitter:
                 op = ir.pipelines[pid].operators[index]
                 if isinstance(op, Filter):
                     self._stripped_filters.add(id(op))
+        #: id(plan node) whose ``new {...}`` result stays inside the module
+        self._inside: Set[int] = set()
+        self._plan_records()
 
     # -- entry point -------------------------------------------------------------
 
@@ -199,6 +218,108 @@ class _Emitter:
 
     def _code(self, lam: Lambda, *arg_vars: str) -> str:
         return self.printer.emit(self._inline(lam, *arg_vars))
+
+    def _key_code(self, lam: Lambda, *arg_vars: str) -> str:
+        """A hash key never leaves the module: a record key is a plain tuple."""
+        body = self._inline(lam, *arg_vars)
+        if isinstance(body, New):
+            return self.printer.emit_tuple(body)
+        return self.printer.emit(body)
+
+    def _define(self, out: str, value: Expr, node: Plan) -> None:
+        """Emit ``out = value``, noting the layout when *value* is a record."""
+        if isinstance(value, New):
+            code = (
+                self.printer.emit_tuple(value)
+                if id(node) in self._inside
+                else self.printer.emit_new(value)
+            )
+            self.printer.tuple_defs[out] = value.field_names
+        else:
+            code = self.printer.emit(value)
+        self.writer.line(f"{out} = {code}")
+
+    # -- record placement (the pre-pass behind _inside) ---------------------------
+
+    def _plan_records(self) -> None:
+        """Mark every ``new {...}`` whose value downstream code reads only
+        through ``.field``; those are emitted as plain tuples."""
+        for pipeline in self.ir.pipelines:
+            driver = pipeline.driver
+            if (
+                isinstance(driver, PipelineBreaker)
+                and driver.kind == "group-aggregate"
+                and isinstance(driver.node.output, New)
+                and self._reads_fields(pipeline, 0, driver.node.output.field_names)
+            ):
+                self._inside.add(id(driver.node))
+            for i, op in enumerate(pipeline.operators):
+                if isinstance(op, Project):
+                    lam = op.selector
+                elif isinstance(op, (Join, FlatMap)):
+                    lam = op.result
+                else:
+                    continue
+                if (
+                    lam is not None
+                    and isinstance(lam.body, New)
+                    and self._reads_fields(pipeline, i + 1, lam.body.field_names)
+                ):
+                    self._inside.add(id(op))
+
+    def _reads_only(
+        self, lam: Optional[Lambda], index: int, fields: Tuple[str, ...]
+    ) -> bool:
+        """True when *lam* reads its parameter *index* only through *fields*."""
+        if lam is None:
+            return True
+        used = lambda_fields(lam, index, self.ir.cse)
+        return used is not None and used <= set(fields)
+
+    def _reads_fields(
+        self, pipeline: Pipeline, i: int, fields: Tuple[str, ...]
+    ) -> bool:
+        """True when everything from position *i* of *pipeline* on reads the
+        element entering it only through *fields*."""
+
+        def reads(lam: Optional[Lambda], index: int = 0) -> bool:
+            return self._reads_only(lam, index, fields)
+
+        ops = pipeline.operators
+        if i < len(ops):
+            op = ops[i]
+            if isinstance(op, Filter):
+                rest = self._reads_fields(pipeline, i + 1, fields)
+                return reads(op.predicate) and rest
+            if isinstance(op, Project):
+                return reads(op.selector)
+            if isinstance(op, FlatMap):
+                return reads(op.collection) and reads(op.result)
+            if isinstance(op, Join) and reads(op.left_key):
+                if op.kind in ("semi", "anti"):
+                    return self._reads_fields(pipeline, i + 1, fields)
+                return reads(op.result)
+            # set-op probes and limits hand the element itself on
+            return False
+        sink = pipeline.sink
+        if sink is None:
+            return False  # yielded: the caller gets the record
+        node = sink.node
+        if sink.kind == "join-build":
+            # the stored row reaches the probe's result selector, so every
+            # row in the table must share this one layout
+            return reads(node.right_key) and (
+                node.kind in ("semi", "anti")
+                or (len(sink.producers) == 1 and reads(node.result, 1))
+            )
+        if sink.kind == "setop-build":
+            return True  # only counted: a tuple hashes and compares as its record
+        if sink.kind in ("group-aggregate", "scalar-aggregate"):
+            return reads(getattr(node, "key", None)) and all(
+                reads(spec.selector) for spec in node.aggregates
+            )
+        # sort / top-N buffers, distinct and groupings keep the element itself
+        return False
 
     def _emit_bindings(self, lam: Optional[Lambda], *arg_vars: str) -> None:
         """Emit this lambda's CSE bindings (``__cseN = ...``) before its use."""
@@ -311,7 +432,7 @@ class _Emitter:
         def projected(var: str) -> None:
             self._emit_bindings(op.selector, var)
             out = self.names.fresh("val")
-            self.writer.line(f"{out} = {self._code(op.selector, var)}")
+            self._define(out, self._inline(op.selector, var), op)
             consume(out)
 
         produce_inner(projected)
@@ -326,7 +447,7 @@ class _Emitter:
             ):
                 if op.result is not None:
                     out = self.names.fresh("val")
-                    self.writer.line(f"{out} = {self._code(op.result, var, inner)}")
+                    self._define(out, self._inline(op.result, var, inner), op)
                     consume(out)
                 else:
                     consume(inner)
@@ -342,34 +463,32 @@ class _Emitter:
         table = state["table"]
 
         def probe(var: str) -> None:
-            key = self._code(op.left_key, var)
+            key = self._key_code(op.left_key, var)
             if op.kind in ("semi", "anti"):
                 test = "in" if op.kind == "semi" else "not in"
                 with self.writer.block(f"if {key} {test} {table}:"):
                     consume(var)
                 return
+            match = self.names.fresh("match")
+            if state.get("fields"):
+                self.printer.tuple_defs[match] = state["fields"]
             if op.kind == "left":
                 matches = self.names.fresh("matches")
-                match = self.names.fresh("match")
                 self.writer.line(f"{matches} = {table}.get({key})")
                 with self.writer.block(f"if {matches} is not None:"):
                     with self.writer.block(f"for {match} in {matches}:"):
                         out = self.names.fresh("val")
-                        self.writer.line(
-                            f"{out} = {self._code(op.result, var, match)}"
-                        )
+                        self._define(out, self._inline(op.result, var, match), op)
                         consume(out)
                 with self.writer.block("else:"):
                     out = self.names.fresh("val")
-                    self.writer.line(
-                        f"{out} = {self._code(op.result, var, state['default'])}"
-                    )
+                    default = self._inline(op.result, var, state["default"])
+                    self._define(out, default, op)
                     consume(out)
                 return
-            match = self.names.fresh("match")
             with self.writer.block(f"for {match} in {table}.get({key}, _EMPTY):"):
                 out = self.names.fresh("val")
-                self.writer.line(f"{out} = {self._code(op.result, var, match)}")
+                self._define(out, self._inline(op.result, var, match), op)
                 consume(out)
 
         produce_inner(probe)
@@ -436,7 +555,7 @@ class _Emitter:
                 replacements[agg_key] = slot
             rewritten = _ReplaceAggs(replacements).visit(body)
             out = self.names.fresh("val")
-            self.writer.line(f"{out} = {self.printer.emit(rewritten)}")
+            self._define(out, rewritten, op)
             consume(out)
 
         produce_inner(per_group)
@@ -526,6 +645,7 @@ class _Emitter:
         acc_var: str,
         extract: List[Tuple[str, int, int]],
         elide_avg: bool = False,
+        inside: bool = False,
     ) -> str:
         mapping: Dict[str, Expr] = {"__key": Var(key_var)}
         rewritten = substitute(output, mapping)
@@ -541,8 +661,12 @@ class _Emitter:
         printer = AggVarPrinter(param_render=self._render_param)
         printer.guard_divisions = self.printer.guard_divisions
         printer.namespace = self.printer.namespace
+        printer.tuple_defs = self.printer.tuple_defs
         printer._bound_counter = self.printer._bound_counter
-        code = printer.emit(rewritten)
+        if inside and isinstance(rewritten, New):
+            code = printer.emit_tuple(rewritten)
+        else:
+            code = printer.emit(rewritten)
         self.printer._bound_counter = printer._bound_counter
         return code
 
@@ -562,11 +686,15 @@ class _Emitter:
         return state
 
     def _sink_join_build(self, node: Join, state: Dict[str, Any], var: str) -> None:
-        key = self._code(node.right_key, var)
+        key = self._key_code(node.right_key, var)
         if node.kind in ("semi", "anti"):
             # existence probes only test membership; skip the bucket lists
             self.writer.line(f"{state['table']}[{key}] = True")
             return
+        # rows of one layout are read by index on the probe side
+        fields = self.printer.tuple_defs.get(var)
+        if state.setdefault("fields", fields) != fields:
+            state["fields"] = None  # the producers' layouts differ
         self.writer.line(f"{state['table']}.setdefault({key}, []).append({var})")
 
     # setop build: the breaker materializes the right side's multiset counts
@@ -590,7 +718,7 @@ class _Emitter:
     def _sink_group_materialize(
         self, node: GroupBy, state: Dict[str, Any], var: str
     ) -> None:
-        key = self._code(node.key, var)
+        key = self._key_code(node.key, var)
         self.writer.line(f"{state['groups']}.setdefault({key}, []).append({var})")
 
     def _drive_group_materialize(
@@ -602,7 +730,11 @@ class _Emitter:
         with self.writer.block(
             f"for {key_var}, {items_var} in {state['groups']}.items():"
         ):
-            self.writer.line(f"{group_var} = _Grouping({key_var}, {items_var})")
+            key = key_var
+            if isinstance(node.key.body, New):
+                # the grouping hands its key out: one record per group
+                key = self.printer.emit_record(node.key.body, key_var)
+            self.writer.line(f"{group_var} = _Grouping({key}, {items_var})")
             consume(group_var)
 
     # fused group aggregation: key → accumulator slot list
@@ -619,7 +751,7 @@ class _Emitter:
         key = self.names.fresh("k")
         acc = self.names.fresh("acc")
         groups = state["groups"]
-        self.writer.line(f"{key} = {self._code(node.key, var)}")
+        self.writer.line(f"{key} = {self._key_code(node.key, var)}")
         self.writer.line(f"{acc} = {groups}.get({key})")
         with self.writer.block(f"if {acc} is None:"):
             self.writer.line(
@@ -635,6 +767,16 @@ class _Emitter:
         with self.writer.block(
             f"for {key_var}, {acc_var} in {state['groups']}.items():"
         ):
+            key_body = node.key.body
+            if isinstance(key_body, New):
+                self.printer.tuple_defs[key_var] = key_body.field_names
+                if "" in member_usage(node.output).get("__key", ()):
+                    # the output hands the whole key out: one record per group
+                    record = self.names.fresh("gkey")
+                    code = self.printer.emit_record(key_body, key_var)
+                    self.writer.line(f"{record} = {code}")
+                    self.printer.tuple_defs[record] = key_body.field_names
+                    key_var = record
             out = self.names.fresh("val")
             output_code = self._render_agg_output(
                 node.output,
@@ -642,8 +784,11 @@ class _Emitter:
                 acc_var,
                 state["extract"],
                 elide_avg=self._elide_avg_guards,
+                inside=id(node) in self._inside,
             )
             self.writer.line(f"{out} = {output_code}")
+            if isinstance(node.output, New):
+                self.printer.tuple_defs[out] = node.output.field_names
             consume(out)
 
     # scalar aggregation: one accumulator, finalized after all pipelines

@@ -13,7 +13,7 @@ convention.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping
+from typing import Any, Callable, Dict, Mapping, Tuple
 
 from ..errors import UnsupportedExpressionError
 from .evaluator import guarded_floordiv, guarded_mod, guarded_truediv
@@ -55,6 +55,11 @@ _BINARY_TOKENS = {
 
 _UNARY_TOKENS = {"neg": "-", "pos": "+", "not": "not "}
 
+#: namespace name of ``tuple.__new__``: a record is built as
+#: ``_tuple_new(RT, (a, b))`` — what the named tuple's own Python-level
+#: ``__new__`` does, minus that frame
+_TUPLE_NEW = "_tuple_new"
+
 #: division operators → the namespace helper that guards their divisor
 _DIVISION_GUARDS = {
     "truediv": ("_guard_truediv", guarded_truediv),
@@ -78,6 +83,11 @@ class ScalarPrinter:
         Mutable mapping that accumulates runtime objects the fragment needs
         (record types, helper functions).  Passed as the globals of the
         generated module by the compiler.
+
+    ``tuple_defs`` maps code variables known to hold a tuple to its field
+    names (raco's ``saveTupleDef``): ``Member(v, f)`` on one renders as
+    ``v[i]``.  A record is a named tuple, so this holds for records and
+    for the plain tuples a module keeps to itself alike.
     """
 
     #: emit divisions through ``_guard_*`` helpers that raise a typed
@@ -95,6 +105,7 @@ class ScalarPrinter:
         self.var_map = dict(var_map or {})
         self._param_render = param_render or (lambda name: f"_params[{name!r}]")
         self.namespace = namespace if namespace is not None else {}
+        self.tuple_defs: Dict[str, Tuple[str, ...]] = {}
         self._bound_counter = 0
 
     # -- namespace management ------------------------------------------------
@@ -164,7 +175,11 @@ class ScalarPrinter:
             ) from None
 
     def emit_member(self, expr: Member) -> str:
-        return f"{self.emit(expr.target)}.{expr.name}"
+        target = self.emit(expr.target)
+        fields = self.tuple_defs.get(target, ())
+        if expr.name in fields:
+            return f"{target}[{fields.index(expr.name)}]"
+        return f"{target}.{expr.name}"
 
     def emit_binary(self, expr: Binary) -> str:
         if self.guard_divisions and expr.op in _DIVISION_GUARDS:
@@ -197,12 +212,23 @@ class ScalarPrinter:
         )
 
     def emit_new(self, expr: New) -> str:
+        return self.emit_record(expr, self.emit_tuple(expr))
+
+    def emit_tuple(self, expr: New) -> str:
+        """The record's field values as a plain tuple display."""
+        args = [self.emit(e) for _, e in expr.fields]
+        if len(args) == 1:
+            return f"({args[0]},)"
+        return f"({', '.join(args)})"
+
+    def emit_record(self, expr: New, values: str) -> str:
+        """Build *expr*'s record type from the tuple code *values*."""
         from .evaluator import make_record_type
 
         record_type = make_record_type(expr.field_names, expr.type_name)
-        type_name = self.bind(record_type, hint="rowtype")
-        args = ", ".join(self.emit(e) for _, e in expr.fields)
-        return f"{type_name}({args})"
+        rowtype = self.bind(record_type, hint="rowtype")
+        self.namespace.setdefault(_TUPLE_NEW, tuple.__new__)
+        return f"{_TUPLE_NEW}({rowtype}, {values})"
 
 
 def expression_to_text(expr: Expr, indent: int = 0) -> str:

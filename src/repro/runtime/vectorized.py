@@ -580,12 +580,22 @@ _DECODE_CHUNK = 1024
 #: ``date.fromordinal`` argument of day 0 of the native date encoding
 _EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
 
+#: the native days ``datetime.date`` can represent
+_MIN_DAY = datetime.date.min.toordinal() - _EPOCH_ORDINAL
+_MAX_DAY = datetime.date.max.toordinal() - _EPOCH_ORDINAL
+
 
 def _decode_column(column: np.ndarray, kind: str) -> list:
     """Bulk-convert one native column chunk to managed values."""
     if kind == "str":
         return [raw.rstrip(b"\x00").decode("utf-8") for raw in column.tolist()]
     if kind == "date":
+        if not len(column) or (
+            _MIN_DAY <= column.min() and column.max() <= _MAX_DAY
+        ):
+            # NumPy turns in-range day numbers into datetime.date natively
+            return column.astype("datetime64[D]").tolist()
+        # a day outside datetime.date's range: fromordinal raises ValueError
         from_ordinal = datetime.date.fromordinal
         return [from_ordinal(_EPOCH_ORDINAL + days) for days in column.tolist()]
     # tolist() converts numeric/bool dtypes to Python scalars natively

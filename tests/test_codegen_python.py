@@ -1,5 +1,6 @@
 """Unit tests for the §4 backend: generated fused-loop Python."""
 
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +24,11 @@ from repro.plans import (
     TopN,
     translate,
 )
-from repro.expressions.nodes import QueryOp, SourceExpr
+from repro.expressions.builder import ExprProxy, unwrap
+from repro.expressions.nodes import New, QueryOp, SourceExpr
+from repro.query import QueryProvider, RecyclingProvider, from_iterable
+from repro.storage import Field, Schema, StructArray
+from repro.tpch import TPCHData, aggregation_micro, join_micro, q1, q3
 
 
 def item(**kw):
@@ -251,3 +256,183 @@ class TestCompiledQueryMetadata:
             Sort(SCAN, (trace_lambda(lambda s: s.x),), (True,))
         )
         ast.parse(compiled.source_code)
+
+
+# ---------------------------------------------------------------------------
+# Record placement: records are built only where they leave the module
+# ---------------------------------------------------------------------------
+
+REC_A = Schema(
+    [Field("id", "int"), Field("g", "int"), Field("v", "float"), Field("s", "str", 4)],
+    name="RecA",
+)
+REC_B = Schema(
+    [Field("k", "int"), Field("t", "str", 4), Field("w", "float")], name="RecB"
+)
+REC_ROWS_A = [(i, i % 4, (i % 7) * 0.5, "ab"[i % 2]) for i in range(90)]
+REC_ROWS_B = [(k % 5, "ab"[k % 3 % 2], k * 0.25) for k in range(24)]
+ESCAPE_PROVIDER = QueryProvider()
+
+
+def typed_new(type_name, **fields):
+    """``new(...)`` whose record type carries its own type name."""
+    return ExprProxy(
+        New(tuple((k, unwrap(v)) for k, v in fields.items()), type_name)
+    )
+
+
+def _escape_whole_key(a, b):
+    return a.group_by(
+        lambda r: new(g=r.g, s=r.s),
+        lambda grp: new(key=grp.key, n=grp.count(), t=grp.sum(lambda r: r.v)),
+    )
+
+
+def _escape_bare_key(a, b):
+    return a.where(lambda r: r.v > 0.5).group_by(
+        lambda r: new(g=r.g, s=r.s), lambda grp: grp.key
+    )
+
+
+def _escape_grouping(a, b):
+    return a.group_by(lambda r: new(g=r.g, s=r.s))
+
+
+def _escape_select_sort(a, b):
+    return a.select(lambda r: new(i=r.id, v=r.v, s=r.s)).order_by(lambda x: x.v)
+
+
+def _escape_typed_join_keys(a, b):
+    return a.join(
+        b,
+        lambda r: typed_new("LeftKey", g=r.g, s=r.s),
+        lambda x: typed_new("RightKey", k=x.k, t=x.t),
+        lambda r, x: new(i=r.id, w=x.w),
+    )
+
+
+def _escape_join_rows(a, b):
+    # the build side's projected rows are read only through .field
+    return a.join(
+        b.select(lambda x: new(k=x.k, w=x.w)),
+        lambda r: r.g,
+        lambda x: x.k,
+        lambda r, x: new(i=r.id, w=x.w, s=r.s),
+    ).where(lambda j: j.w > 1.0)
+
+
+def _escape_distinct(a, b):
+    return a.select(lambda r: new(g=r.g, s=r.s)).distinct()
+
+
+def _escape_union(a, b):
+    return a.select(lambda r: new(g=r.g, s=r.s)).union(
+        b.select(lambda x: new(g=x.k, s=x.t))
+    )
+
+
+ESCAPE_SHAPES = (
+    _escape_whole_key,
+    _escape_bare_key,
+    _escape_grouping,
+    _escape_select_sort,
+    _escape_typed_join_keys,
+    _escape_join_rows,
+    _escape_distinct,
+    _escape_union,
+)
+
+
+def _types(value):
+    """A value's type, and its fields' types when it is a tuple."""
+    if isinstance(value, tuple):
+        return type(value), tuple(_types(field) for field in value)
+    return type(value)
+
+
+def _typed(rows):
+    """Rows with their (nested) types; a grouping with its key's."""
+    out = []
+    for row in rows:
+        if isinstance(row, tuple):
+            out.append((_types(row), row))
+        else:
+            out.append((type(row), _types(row.key), row.key, list(row)))
+    return out
+
+
+def _escape_query(shape, engine, a_source, b_source, provider):
+    a = from_iterable(a_source, schema=REC_A).using(engine, provider)
+    b = from_iterable(b_source, schema=REC_B).using(engine, provider)
+    return shape(a, b)
+
+
+@pytest.mark.parametrize("shape", ESCAPE_SHAPES, ids=lambda s: s.__name__)
+@pytest.mark.parametrize("parallel", [None, (2, 17)], ids=["seq", "par2"])
+def test_escaping_records_match_linq_in_value_and_type(shape, parallel):
+    a_objs = StructArray.from_rows(REC_A, REC_ROWS_A).to_objects()
+    b_objs = StructArray.from_rows(REC_B, REC_ROWS_B).to_objects()
+    expected = _typed(
+        _escape_query(shape, "linq", a_objs, b_objs, ESCAPE_PROVIDER).to_list()
+    )
+    query = _escape_query(shape, "compiled", a_objs, b_objs, ESCAPE_PROVIDER)
+    if parallel is not None:
+        query = query.in_parallel(*parallel)
+    got = _typed(query.to_list())
+    assert got == expected
+    assert expected  # the shape produces rows at all
+
+
+def test_recycled_whole_key_matches_linq_after_append():
+    arr = StructArray.from_rows(REC_A, REC_ROWS_A)
+    b_arr = StructArray.from_rows(REC_B, REC_ROWS_B)
+    provider = RecyclingProvider()
+    query = _escape_query(_escape_whole_key, "compiled", arr, b_arr, provider)
+    query.to_list()
+    arr.append_rows([(1000 + i, i % 6, 0.25 * i, "ba"[i % 2]) for i in range(11)])
+    got = _typed(query.to_list())
+    expected = _typed(
+        _escape_query(_escape_whole_key, "linq", arr, b_arr, QueryProvider()).to_list()
+    )
+    assert got == expected
+
+
+def _scan_loop_lines(source):
+    """Lines inside ``for <elem> in sources[...]`` loops of a module."""
+    inside, depth = [], None
+    for line in source.splitlines():
+        indent = len(line) - len(line.lstrip())
+        if depth is not None and line.strip() and indent <= depth:
+            depth = None
+        if depth is not None:
+            inside.append(line)
+        elif line.lstrip().startswith("for ") and "sources[" in line:
+            depth = indent
+    return inside
+
+
+@pytest.fixture(scope="module")
+def tpch_small():
+    return TPCHData(scale=0.001)
+
+
+@pytest.mark.parametrize(
+    "build, builds_in_loop",
+    [
+        (q1, False),
+        (lambda d, e, p: aggregation_micro(d, e, 0.6, p), False),
+        (q3, False),
+        (lambda d, e, p: join_micro(d, e, 0.6, p), True),  # yields records
+    ],
+    ids=["q1", "agg", "q3", "join"],
+)
+def test_tpch_scan_loops_never_call_a_record_type(tpch_small, build, builds_in_loop):
+    provider = QueryProvider()
+    query = build(tpch_small, "compiled", provider)
+    source = provider.compile_info(query.expr, query.sources, "compiled").source_code
+    loops = "\n".join(_scan_loop_lines(source))
+    assert loops
+    assert not re.search(r"_rt_rowtype_\d+\(", loops), source
+    # keys and intermediate rows are plain tuples: only a yielded row is
+    # built as a record inside a scan loop
+    assert ("_tuple_new(" in loops) == builds_in_loop, source

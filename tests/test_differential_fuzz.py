@@ -22,6 +22,7 @@ from repro import new
 from repro.errors import ExecutionError, UnsupportedQueryError
 from repro.query import ENGINES as REPRO_ENGINES
 from repro.query import QueryProvider, from_iterable, from_struct_array
+from repro.runtime.vectorized import RowView
 from repro.storage import Field, Schema, StructArray
 
 # ---------------------------------------------------------------------------
@@ -439,6 +440,25 @@ def _run(query, terminal, workers=None, morsel=None):
         return ("error", str(exc))
 
 
+def _assert_same_types(outcome, baseline, where):
+    """``==`` lets a plain tuple pass for the record it equals: compare
+    each row's type with linq's too.  Native's ``RowView`` surface (a
+    pointer into result memory, not a copy) is the one exemption."""
+    if outcome[0] == baseline[0] == "rows":
+        got = [type(row) for row in outcome[1]]
+        want = [type(row) for row in baseline[1]]
+    elif outcome[0] == baseline[0] == "scalar":
+        got, want = [type(outcome[1])], [type(baseline[1])]
+    else:
+        return
+    differing = [
+        (g.__name__, w.__name__)
+        for g, w in zip(got, want)
+        if g is not w and g is not RowView
+    ]
+    assert not differing, f"{where}: types {differing[:3]} differ from linq's"
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fuzz_corpus(seed):
     rng = random.Random(seed)
@@ -455,6 +475,8 @@ def test_fuzz_corpus(seed):
             outer, inner = _sources(engine)
             query, term = apply(outer, inner)
             sequential = _run(query, term)
+            where = f"seed={seed} shape={shape.__name__} engine={engine}"
+            _assert_same_types(sequential, baseline, where)
             for workers, morsel in PARALLEL_CONFIGS:
                 parallel = _run(query, term, workers, morsel)
                 # the tentpole invariant: bit-identical to sequential for
@@ -463,6 +485,9 @@ def test_fuzz_corpus(seed):
                     f"seed={seed} shape={shape.__name__} engine={engine} "
                     f"workers={workers} morsel={morsel}: "
                     f"parallel {parallel!r} != sequential {sequential!r}"
+                )
+                _assert_same_types(
+                    parallel, baseline, f"{where} workers={workers} morsel={morsel}"
                 )
             if sequential[0] == "error":
                 # errors agree with the baseline by class; messages are

@@ -190,9 +190,13 @@ class TestPrinter:
         lam = trace_lambda(lambda s: new(a=s.x))
         printer = ScalarPrinter(var_map={"s": "e"})
         src = printer.emit(lam.body)
-        assert src.startswith("_rt_rowtype_")
-        (record_type,) = [v for v in printer.namespace.values()]
+        # built frame-free: tuple.__new__ on the bound type, not RT(...)
+        assert src == "_tuple_new(_rt_rowtype_0, (e.x,))"
+        record_type = printer.namespace["_rt_rowtype_0"]
         assert record_type._fields == ("a",)
+        assert printer.namespace["_tuple_new"] is tuple.__new__
+        row = eval(src, dict(printer.namespace), {"e": make_item(x=7)})
+        assert type(row) is record_type and row == (7,)
 
     def test_unknown_var_raises(self):
         printer = ScalarPrinter(var_map={})

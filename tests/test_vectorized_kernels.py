@@ -549,3 +549,45 @@ class TestSmallInputCost:
                 sorted_ = min(sorted_, best_of())
         # best-of-1500 on both sides; 10 % + 2 us is timer noise here
         assert dense <= sorted_ * 1.10 + 2e-6, (dense, sorted_)
+
+
+# ---------------------------------------------------------------------------
+# Date decoding: whole-array conversion inside datetime.date's range, the
+# per-element loop (and its ValueError) outside it
+# ---------------------------------------------------------------------------
+
+
+def test_date_decoding_at_both_bounds():
+    import datetime
+
+    first = datetime.date.min.toordinal() - datetime.date(1970, 1, 1).toordinal()
+    last = datetime.date.max.toordinal() - datetime.date(1970, 1, 1).toordinal()
+    column = np.array([first, 0, 10_000, last], dtype=np.int64)
+    decoded = vectorized._decode_column(column, "date")
+    assert decoded == [
+        datetime.date.min,
+        datetime.date(1970, 1, 1),
+        datetime.date(1970, 1, 1) + datetime.timedelta(days=10_000),
+        datetime.date.max,
+    ]
+    assert all(type(day) is datetime.date for day in decoded)
+    assert vectorized._decode_column(column[:0], "date") == []
+    days = np.array([8035, 9000, 10_592], dtype=np.int32)  # TPC-H's span
+    assert vectorized._decode_column(days, "date") == [
+        datetime.date.fromordinal(datetime.date(1970, 1, 1).toordinal() + int(d))
+        for d in days
+    ]
+
+
+@pytest.mark.parametrize("past", ["min", "max"])
+def test_date_decoding_past_the_bounds_raises(past):
+    import datetime
+
+    epoch = datetime.date(1970, 1, 1).toordinal()
+    day = (
+        datetime.date.min.toordinal() - epoch - 1
+        if past == "min"
+        else datetime.date.max.toordinal() - epoch + 1
+    )
+    with pytest.raises(ValueError):
+        vectorized._decode_column(np.array([0, day], dtype=np.int64), "date")
