@@ -19,19 +19,19 @@ but driven by the IR's operator chain rather than by walking the plan:
 ``operators[:i]`` and invokes *consume* with the variable holding the
 current element inside the innermost block.
 
-Records are built only where they leave the module.  A ``new {...}`` that
-downstream code reads only through ``.field`` — a group, join or set key,
-a join's build row, an intermediate projection — is emitted as a plain
-tuple; every record-valued variable's field layout is kept on the printer
-(``tuple_defs``), so ``v.f`` renders as ``v[i]``.  Records that are
-yielded, buffered by a sort or top-N, or passed on whole are built with
-``_tuple_new(RT, (...))``, skipping the named tuple's Python ``__new__``.
+Hash keys (of group aggregation, grouping, join build and probe) never
+leave the module and are plain tuples: a named tuple hashes and compares
+as its tuple.  The group-aggregate key's field layout is kept on the
+printer (``tuple_defs``), so ``g.key.f`` renders as ``k[i]``; a key
+handed out whole becomes one record per group.  Every other
+``new {...}`` is built with ``_tuple_new(RT, (...))``, skipping the
+named tuple's Python ``__new__``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..analysis import analyze_ir
 from ..errors import CodegenError, ExecutionError
@@ -72,13 +72,7 @@ from ..runtime.parallel import morsel_slice
 from ..runtime.sorting import CompositeKey, quicksort_indexes
 from ..runtime.topn import TopNHeap
 from .compiler import CompiledQuery, compile_source, timed
-from .ir import (
-    Pipeline,
-    PipelineBreaker,
-    QueryIR,
-    lambda_fields,
-    physical_slots,
-)
+from .ir import Pipeline, PipelineBreaker, QueryIR, physical_slots
 from .lower import lower_plan
 from .source import NameAllocator, SourceWriter
 
@@ -160,9 +154,6 @@ class _Emitter:
                 op = ir.pipelines[pid].operators[index]
                 if isinstance(op, Filter):
                     self._stripped_filters.add(id(op))
-        #: id(plan node) whose ``new {...}`` result stays inside the module
-        self._inside: Set[int] = set()
-        self._plan_records()
 
     # -- entry point -------------------------------------------------------------
 
@@ -225,101 +216,6 @@ class _Emitter:
         if isinstance(body, New):
             return self.printer.emit_tuple(body)
         return self.printer.emit(body)
-
-    def _define(self, out: str, value: Expr, node: Plan) -> None:
-        """Emit ``out = value``, noting the layout when *value* is a record."""
-        if isinstance(value, New):
-            code = (
-                self.printer.emit_tuple(value)
-                if id(node) in self._inside
-                else self.printer.emit_new(value)
-            )
-            self.printer.tuple_defs[out] = value.field_names
-        else:
-            code = self.printer.emit(value)
-        self.writer.line(f"{out} = {code}")
-
-    # -- record placement (the pre-pass behind _inside) ---------------------------
-
-    def _plan_records(self) -> None:
-        """Mark every ``new {...}`` whose value downstream code reads only
-        through ``.field``; those are emitted as plain tuples."""
-        for pipeline in self.ir.pipelines:
-            driver = pipeline.driver
-            if (
-                isinstance(driver, PipelineBreaker)
-                and driver.kind == "group-aggregate"
-                and isinstance(driver.node.output, New)
-                and self._reads_fields(pipeline, 0, driver.node.output.field_names)
-            ):
-                self._inside.add(id(driver.node))
-            for i, op in enumerate(pipeline.operators):
-                if isinstance(op, Project):
-                    lam = op.selector
-                elif isinstance(op, (Join, FlatMap)):
-                    lam = op.result
-                else:
-                    continue
-                if (
-                    lam is not None
-                    and isinstance(lam.body, New)
-                    and self._reads_fields(pipeline, i + 1, lam.body.field_names)
-                ):
-                    self._inside.add(id(op))
-
-    def _reads_only(
-        self, lam: Optional[Lambda], index: int, fields: Tuple[str, ...]
-    ) -> bool:
-        """True when *lam* reads its parameter *index* only through *fields*."""
-        if lam is None:
-            return True
-        used = lambda_fields(lam, index, self.ir.cse)
-        return used is not None and used <= set(fields)
-
-    def _reads_fields(
-        self, pipeline: Pipeline, i: int, fields: Tuple[str, ...]
-    ) -> bool:
-        """True when everything from position *i* of *pipeline* on reads the
-        element entering it only through *fields*."""
-
-        def reads(lam: Optional[Lambda], index: int = 0) -> bool:
-            return self._reads_only(lam, index, fields)
-
-        ops = pipeline.operators
-        if i < len(ops):
-            op = ops[i]
-            if isinstance(op, Filter):
-                rest = self._reads_fields(pipeline, i + 1, fields)
-                return reads(op.predicate) and rest
-            if isinstance(op, Project):
-                return reads(op.selector)
-            if isinstance(op, FlatMap):
-                return reads(op.collection) and reads(op.result)
-            if isinstance(op, Join) and reads(op.left_key):
-                if op.kind in ("semi", "anti"):
-                    return self._reads_fields(pipeline, i + 1, fields)
-                return reads(op.result)
-            # set-op probes and limits hand the element itself on
-            return False
-        sink = pipeline.sink
-        if sink is None:
-            return False  # yielded: the caller gets the record
-        node = sink.node
-        if sink.kind == "join-build":
-            # the stored row reaches the probe's result selector, so every
-            # row in the table must share this one layout
-            return reads(node.right_key) and (
-                node.kind in ("semi", "anti")
-                or (len(sink.producers) == 1 and reads(node.result, 1))
-            )
-        if sink.kind == "setop-build":
-            return True  # only counted: a tuple hashes and compares as its record
-        if sink.kind in ("group-aggregate", "scalar-aggregate"):
-            return reads(getattr(node, "key", None)) and all(
-                reads(spec.selector) for spec in node.aggregates
-            )
-        # sort / top-N buffers, distinct and groupings keep the element itself
-        return False
 
     def _emit_bindings(self, lam: Optional[Lambda], *arg_vars: str) -> None:
         """Emit this lambda's CSE bindings (``__cseN = ...``) before its use."""
@@ -432,7 +328,7 @@ class _Emitter:
         def projected(var: str) -> None:
             self._emit_bindings(op.selector, var)
             out = self.names.fresh("val")
-            self._define(out, self._inline(op.selector, var), op)
+            self.writer.line(f"{out} = {self._code(op.selector, var)}")
             consume(out)
 
         produce_inner(projected)
@@ -447,7 +343,7 @@ class _Emitter:
             ):
                 if op.result is not None:
                     out = self.names.fresh("val")
-                    self._define(out, self._inline(op.result, var, inner), op)
+                    self.writer.line(f"{out} = {self._code(op.result, var, inner)}")
                     consume(out)
                 else:
                     consume(inner)
@@ -469,26 +365,28 @@ class _Emitter:
                 with self.writer.block(f"if {key} {test} {table}:"):
                     consume(var)
                 return
-            match = self.names.fresh("match")
-            if state.get("fields"):
-                self.printer.tuple_defs[match] = state["fields"]
             if op.kind == "left":
                 matches = self.names.fresh("matches")
+                match = self.names.fresh("match")
                 self.writer.line(f"{matches} = {table}.get({key})")
                 with self.writer.block(f"if {matches} is not None:"):
                     with self.writer.block(f"for {match} in {matches}:"):
                         out = self.names.fresh("val")
-                        self._define(out, self._inline(op.result, var, match), op)
+                        self.writer.line(
+                            f"{out} = {self._code(op.result, var, match)}"
+                        )
                         consume(out)
                 with self.writer.block("else:"):
                     out = self.names.fresh("val")
-                    default = self._inline(op.result, var, state["default"])
-                    self._define(out, default, op)
+                    self.writer.line(
+                        f"{out} = {self._code(op.result, var, state['default'])}"
+                    )
                     consume(out)
                 return
+            match = self.names.fresh("match")
             with self.writer.block(f"for {match} in {table}.get({key}, _EMPTY):"):
                 out = self.names.fresh("val")
-                self._define(out, self._inline(op.result, var, match), op)
+                self.writer.line(f"{out} = {self._code(op.result, var, match)}")
                 consume(out)
 
         produce_inner(probe)
@@ -555,7 +453,7 @@ class _Emitter:
                 replacements[agg_key] = slot
             rewritten = _ReplaceAggs(replacements).visit(body)
             out = self.names.fresh("val")
-            self._define(out, rewritten, op)
+            self.writer.line(f"{out} = {self.printer.emit(rewritten)}")
             consume(out)
 
         produce_inner(per_group)
@@ -645,7 +543,6 @@ class _Emitter:
         acc_var: str,
         extract: List[Tuple[str, int, int]],
         elide_avg: bool = False,
-        inside: bool = False,
     ) -> str:
         mapping: Dict[str, Expr] = {"__key": Var(key_var)}
         rewritten = substitute(output, mapping)
@@ -663,10 +560,7 @@ class _Emitter:
         printer.namespace = self.printer.namespace
         printer.tuple_defs = self.printer.tuple_defs
         printer._bound_counter = self.printer._bound_counter
-        if inside and isinstance(rewritten, New):
-            code = printer.emit_tuple(rewritten)
-        else:
-            code = printer.emit(rewritten)
+        code = printer.emit(rewritten)
         self.printer._bound_counter = printer._bound_counter
         return code
 
@@ -691,10 +585,6 @@ class _Emitter:
             # existence probes only test membership; skip the bucket lists
             self.writer.line(f"{state['table']}[{key}] = True")
             return
-        # rows of one layout are read by index on the probe side
-        fields = self.printer.tuple_defs.get(var)
-        if state.setdefault("fields", fields) != fields:
-            state["fields"] = None  # the producers' layouts differ
         self.writer.line(f"{state['table']}.setdefault({key}, []).append({var})")
 
     # setop build: the breaker materializes the right side's multiset counts
@@ -775,7 +665,6 @@ class _Emitter:
                     record = self.names.fresh("gkey")
                     code = self.printer.emit_record(key_body, key_var)
                     self.writer.line(f"{record} = {code}")
-                    self.printer.tuple_defs[record] = key_body.field_names
                     key_var = record
             out = self.names.fresh("val")
             output_code = self._render_agg_output(
@@ -784,11 +673,8 @@ class _Emitter:
                 acc_var,
                 state["extract"],
                 elide_avg=self._elide_avg_guards,
-                inside=id(node) in self._inside,
             )
             self.writer.line(f"{out} = {output_code}")
-            if isinstance(node.output, New):
-                self.printer.tuple_defs[out] = node.output.field_names
             consume(out)
 
     # scalar aggregation: one accumulator, finalized after all pipelines

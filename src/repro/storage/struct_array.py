@@ -40,12 +40,6 @@ __all__ = ["StructArray"]
 #: smallest capacity the append path over-allocates to (rows)
 _MIN_GROW_ROWS = 64
 
-#: capacity factor of one growth.  Growing copies the whole table and holds
-#: it twice until the old buffer is freed; spare capacity costs only address
-#: space until rows are written (``np.zeros`` maps its pages lazily), so a
-#: table grows 8-fold and is copied a third as often as by doubling
-_GROWTH = 8
-
 
 class StructArray:
     """Fixed-layout, contiguous row storage over a schema.
@@ -179,7 +173,7 @@ class StructArray:
             buffer, length, version = self._state
             need = length + len(chunk)
             if need > len(buffer):
-                capacity = max(need, _GROWTH * len(buffer), _MIN_GROW_ROWS)
+                capacity = max(need, 2 * len(buffer), _MIN_GROW_ROWS)
                 grown = np.zeros(capacity, dtype=buffer.dtype)
                 grown[:length] = buffer[:length]
                 buffer = grown

@@ -259,7 +259,7 @@ class TestCompiledQueryMetadata:
 
 
 # ---------------------------------------------------------------------------
-# Record placement: records are built only where they leave the module
+# Records: keys are plain tuples, every record is built frame-free
 # ---------------------------------------------------------------------------
 
 REC_A = Schema(
@@ -312,7 +312,7 @@ def _escape_typed_join_keys(a, b):
 
 
 def _escape_join_rows(a, b):
-    # the build side's projected rows are read only through .field
+    # the build side's projected rows are records the probe reads by field
     return a.join(
         b.select(lambda x: new(k=x.k, w=x.w)),
         lambda r: r.g,
@@ -397,6 +397,35 @@ def test_recycled_whole_key_matches_linq_after_append():
     assert got == expected
 
 
+def _record_type_calls(compiled):
+    """Lines of a generated module that call a record type.  ``RT(...)``
+    runs the named tuple's Python-level ``__new__`` once per record; the
+    names come from the module's namespace, whatever they were bound as."""
+    names = [
+        name
+        for name, value in compiled.fn.__globals__.items()
+        if isinstance(value, type)
+        and issubclass(value, tuple)
+        and hasattr(value, "_fields")
+    ]
+    assert names  # the module builds records at all
+    calls = re.compile(r"(?<![\w.])(%s)\(" % "|".join(map(re.escape, names)))
+    return [
+        line.strip()
+        for line in compiled.source_code.splitlines()
+        if calls.search(line)
+    ]
+
+
+@pytest.mark.parametrize("shape", ESCAPE_SHAPES, ids=lambda s: s.__name__)
+def test_frame_free_escape_modules(shape):
+    a_objs = StructArray.from_rows(REC_A, REC_ROWS_A).to_objects()
+    b_objs = StructArray.from_rows(REC_B, REC_ROWS_B).to_objects()
+    query = _escape_query(shape, "compiled", a_objs, b_objs, ESCAPE_PROVIDER)
+    compiled = ESCAPE_PROVIDER.compile_info(query.expr, query.sources, "compiled")
+    assert not _record_type_calls(compiled), compiled.source_code
+
+
 def _scan_loop_lines(source):
     """Lines inside ``for <elem> in sources[...]`` loops of a module."""
     inside, depth = [], None
@@ -421,18 +450,18 @@ def tpch_small():
     [
         (q1, False),
         (lambda d, e, p: aggregation_micro(d, e, 0.6, p), False),
-        (q3, False),
+        (q3, True),  # the join's result rows
         (lambda d, e, p: join_micro(d, e, 0.6, p), True),  # yields records
     ],
     ids=["q1", "agg", "q3", "join"],
 )
-def test_tpch_scan_loops_never_call_a_record_type(tpch_small, build, builds_in_loop):
+def test_frame_free_tpch_modules(tpch_small, build, builds_in_loop):
     provider = QueryProvider()
     query = build(tpch_small, "compiled", provider)
-    source = provider.compile_info(query.expr, query.sources, "compiled").source_code
-    loops = "\n".join(_scan_loop_lines(source))
+    compiled = provider.compile_info(query.expr, query.sources, "compiled")
+    assert not _record_type_calls(compiled), compiled.source_code
+    # a group key is a plain tuple: q1's and agg's scan loops build no
+    # record at all
+    loops = "\n".join(_scan_loop_lines(compiled.source_code))
     assert loops
-    assert not re.search(r"_rt_rowtype_\d+\(", loops), source
-    # keys and intermediate rows are plain tuples: only a yielded row is
-    # built as a record inside a scan loop
-    assert ("_tuple_new(" in loops) == builds_in_loop, source
+    assert ("_tuple_new(" in loops) == builds_in_loop, compiled.source_code

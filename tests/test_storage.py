@@ -379,17 +379,6 @@ class TestVersionedStructArray:
         assert arr.version == 100
         assert [r.population for r in arr] == list(range(100))
 
-    def test_append_copies_the_table_rarely(self):
-        # every growth copies the table and holds it twice for that moment;
-        # spare capacity is lazily committed, so the buffer grows 8-fold
-        arr = StructArray.from_rows(CITY, [])
-        buffers = []
-        for i in range(5000):
-            arr.append_rows([(f"c{i}", i, float(i))])
-            if not buffers or arr._state[0] is not buffers[-1]:
-                buffers.append(arr._state[0])
-        assert [len(b) for b in buffers] == [64, 512, 4096, 32768]
-
     def test_data_is_published_prefix(self):
         arr = self._sample()
         arr.append_rows([("Oslo", 700_000, 454.0)])
