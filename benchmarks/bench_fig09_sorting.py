@@ -5,8 +5,8 @@ performance of C# code much closer this time" (both run the same quicksort
 in the managed runtime).  Generated C and the combined approach perform
 similarly; the hybrid for sorting is the **Min** variant — it must return
 references to the original elements, so only keys and indexes cross into
-native memory.  The ``hybrid`` engine's own rule picks Min here: the
-result is the whole source elements, which Max cannot stage.
+native memory.  The ``hybrid`` engine builds Min here: the result is the
+whole source elements, which cross as a row-index column.
 """
 
 import time

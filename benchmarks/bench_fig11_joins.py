@@ -5,8 +5,8 @@ very similarly, with buffering performing slightly better and full-staging
 marginally outperforming key/index joins"; the generated C code performs
 best overall and generated C# beats LINQ-to-objects.  Three of the four
 variants are columns here (Max full is plain ``hybrid``; the other two are
-pinned through ``column_query``): Min never buffers in this reproduction,
-so Min-buffered would time the Min program again.
+pinned through ``column_query``): a plan staging row indexes is staged
+fully, so Min-buffered would time the Min program again.
 """
 
 import time

@@ -62,7 +62,7 @@ def drain(query) -> int:
 
 
 #: figure columns that pin one of the paper's hybrid policies (§6) instead
-#: of letting the hybrid backend's Min/Max rule choose: label → arguments
+#: of the hybrid backend's own staging: label → arguments
 PINNED_HYBRIDS = {
     "hybrid:buffered": {"buffered": True},  # Max, page-by-page staging
     "hybrid:min": {"minimal": True},  # Min, full staging

@@ -43,8 +43,6 @@ class CompiledQuery:
     compile_seconds: float = 0.0
     #: True when fn returns a scalar instead of an iterator
     scalar: bool = False
-    #: True when the hybrid built it with Min result construction (§6)
-    minimal: bool = False
     #: static analysis of the originating query (set by the provider)
     analysis: Any = None
 

@@ -5,55 +5,55 @@ generated program has two halves:
 
 * a **managed staging loop** (plain Python over the objects) that applies
   every scan-adjacent filter and copies exactly the fields the rest of the
-  query needs (the implicit projection of §6.2) into native buffer pages;
+  query needs (the implicit projection of §6.2) into a native page;
 * the **native half** — the same vectorized NumPy codegen as the §5
   backend — running over the staged arrays.
 
 Both halves are derived from the shared pipeline IR
 (:mod:`repro.codegen.ir`): every scan-driven pipeline's leading
 scan-adjacent filters become the managed staging predicates, its staging
-buffer layout comes from the IR's shared required-fields annotation
-(``staging_fields``), and the rest of the pipeline chain lowers through
-the same frame/kernel emitter as the native backend.  Each pipeline thus
-has a *placement*: scan-driven pipelines start managed (staging) and
-finish native; breaker-driven pipelines are fully native.
+layout comes from the shared required-fields pass, and the rest of the
+pipeline chain lowers through the same frame/kernel emitter as the native
+backend.  Each pipeline thus has a *placement*: scan-driven pipelines
+start managed (staging) and finish native; breaker-driven pipelines are
+fully native.
 
 Materialization policy (paper §6.1):
 
-* ``buffered=False`` → full materialization: every page is kept
-  (``BufferList``) and the native half runs once, after staging.
-* ``buffered=True`` → one reusable page (``StreamingBuffer``); the native
+* ``buffered=False`` → full materialization: each source is staged into
+  one array and the native half runs once, after staging.
+* ``buffered=True`` → one reusable page of ``page_bytes``; the native
   half's *first blocking operator* consumes each page as it fills
   (streaming group/scalar aggregation, streaming join probe).  Plans whose
   first native operator cannot stream fall back to full materialization —
   exactly the paper's concession that "we would rather copy everything to
   unmanaged memory before processing it in C".
 
-Result construction policy (paper §6), chosen by rule:
-
-* **Max** → everything needed to build results is copied; results are
-  decoded from native arrays.  The default.
-* **Min** → only keys (plus row indexes) cross into native memory; the
-  original objects are retained managed-side and results are built from
-  them.  Built when whole source elements cross the staging boundary
-  (which Max cannot stage) and the plan is one sort / top-N or an
-  inner-join tree over filtered scans (§7.4); otherwise Max's refusal
-  stands.  Min never buffers and emits no morsel-parameterized kernels.
-  ``minimal=True`` pins it.
+Result construction (paper §6): results are decoded from native arrays
+(Max), except where a source element escapes whole — is returned, or
+embedded in a join or projection result.  Such a source also lists its
+kept objects managed-side, and each element crosses as its row index
+(:data:`~repro.codegen.ir.ROW`), one more column the native half carries
+through filters, joins, sorts, top-N and limits; delivery looks the
+objects back up, so results are the source objects themselves (Min).  An
+element an operator compares or hashes stays refused.  ``minimal=True``
+also ships a result field copied straight from an element as the index
+and reads it off the object at delivery.  A plan that stages an index
+is staged fully and emits no morsel-parameterized kernels.
 """
 
 from __future__ import annotations
 
-import datetime
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..analysis import analyze_ir
-from ..errors import ExecutionError, SchemaError, UnsupportedQueryError
+from ..errors import SchemaError, UnsupportedQueryError
 from ..observability.tracer import TRACER
 from ..options import env
-from ..expressions.nodes import Lambda, New, Var
+from ..expressions.nodes import Expr, Lambda, Member, New, Var
 from ..expressions.visitor import substitute
 from ..plans.logical import (
     Filter,
@@ -62,33 +62,36 @@ from ..plans.logical import (
     GroupBy,
     Join,
     Plan,
-    Project,
     Scan,
     ScalarAggregate,
-    Sort,
-    TopN,
     plan_children,
 )
-from ..runtime import vectorized as _vec
-from ..runtime.cancellation import cancel_check
 from ..runtime.parallel import MORSEL_START as _MORSEL_START
 from ..runtime.parallel import MORSEL_STOP as _MORSEL_STOP
 from ..runtime.parallel import morsel_slice
 from ..runtime.streaming import StreamingGroupAggregator, StreamingJoinProbe
-from ..storage.buffers import DEFAULT_PAGE_BYTES, BufferList, StreamingBuffer
-from ..storage.schema import date_to_days, days_to_date
+from ..storage.buffers import DEFAULT_PAGE_BYTES
+from ..storage.schema import date_to_days
 from .compiler import CompiledQuery, compile_source, timed
-from .ir import Pipeline, PipelineBreaker, QueryIR, physical_slots
+from .ir import (
+    ROW,
+    Pipeline,
+    PipelineBreaker,
+    QueryIR,
+    physical_slots,
+    required_source_fields,
+    strip_scan_filters,
+)
 from .lower import lower_plan
 from .mapping import StagedSource, staged_schema_for
 from .native_backend import (
     ColumnRef,
     Frame,
+    VectorPrinter,
     _outside_fragment,
     _VectorEmitter,
 )
 from .python_backend import _CodeVarPrinter
-from .source import NameAllocator, SourceWriter
 
 __all__ = ["HybridBackend"]
 
@@ -127,8 +130,22 @@ class HybridBackend:
         ir: Optional[QueryIR] = None,
     ) -> CompiledQuery:
         with TRACER.span("codegen.generate", engine=self.name), timed() as gen_time:
-            minimal, module = self._emit(plan, sources, morsel_ordinal, ir)
-        source_code, namespace, scalar = module
+            if ir is None:
+                ir = lower_plan(plan, morsel_ordinal=morsel_ordinal)
+            if ir.facts is None:
+                ir.facts = analyze_ir(ir)
+            staged, peeled = _staging_from_ir(ir, defer=self.minimal)
+            if morsel_ordinal is not None and any(s.carries for s in staged.values()):
+                raise UnsupportedQueryError(
+                    "the hybrid engine emits no morsel-parameterized kernels for "
+                    "plans that stage row indexes (their staging loop is "
+                    "generated Python)"
+                )
+            for ordinal, spec in staged.items():
+                if spec.fields:  # field-less sources only stage a count
+                    spec.schema = staged_schema_for(sources[ordinal], spec)
+            emitter = _HybridEmitter(staged, peeled, self.buffered, self.page_bytes, ir)
+            source_code, namespace, scalar = emitter.emit_module()
         entry, compile_seconds = compile_source(source_code, namespace)
         return CompiledQuery(
             source_code=source_code,
@@ -137,65 +154,51 @@ class HybridBackend:
             codegen_seconds=gen_time.seconds,
             compile_seconds=compile_seconds,
             scalar=scalar,
-            minimal=minimal,
         )
 
-    def _emit(
-        self,
-        plan: Plan,
-        sources: Sequence[Any],
-        morsel_ordinal: Optional[int],
-        ir: Optional[QueryIR],
-    ) -> Tuple[bool, Tuple[str, Dict[str, Any], bool]]:
-        """(built with Min?, module): Max, unless Min is pinned or whole
-        elements cross the staging boundary — then Min, and a plan Min
-        refuses keeps Max's refusal."""
-        max_refusal = None
-        if not self.minimal:
-            if ir is None:
-                ir = lower_plan(plan, morsel_ordinal=morsel_ordinal)
-            if ir.facts is None:
-                ir.facts = analyze_ir(ir)
-            try:
-                staged, peeled = _staging_from_ir(ir)
-            except _WholeElements as whole:
-                max_refusal = str(whole)  # Min ships only the elements' keys
-            else:
-                for ordinal, spec in staged.items():
-                    if spec.fields:  # field-less sources only stage a count
-                        spec.schema = staged_schema_for(sources[ordinal], spec)
-                emitter = _HybridEmitter(
-                    staged, peeled, self.buffered, self.page_bytes, ir
-                )
-                return False, emitter.emit_module()
-        if morsel_ordinal is not None:
-            raise UnsupportedQueryError(
-                "the minimal hybrid engines do not emit "
-                "morsel-parameterized kernels"
-            )
-        try:
-            return True, _MinEmitter().emit_module(plan, sources)
-        except UnsupportedQueryError:
-            if max_refusal is None:
-                raise
-            raise UnsupportedQueryError(max_refusal) from None
+
+def _whole_elements(ordinal: int) -> UnsupportedQueryError:
+    return UnsupportedQueryError(
+        f"the query uses whole elements of source_{ordinal} beyond the "
+        f"staging boundary; the hybrid engine requires flat field access "
+        f"(use the compiled engine)"
+    )
 
 
-class _WholeElements(UnsupportedQueryError):
-    """Max's refusal of a source whose whole elements cross the staging
-    boundary — the one refusal the Min/Max rule answers with Min."""
+def _row_ref(kind: str) -> Optional[Tuple[int, Optional[str]]]:
+    """(ordinal, field) of a row-index column's kind ``row:<ordinal>``, or
+    ``row:<ordinal>:<field>`` for one field read off the object; None for
+    a native kind."""
+    if not kind.startswith("row:"):
+        return None
+    _, ordinal, *field = kind.split(":")
+    return int(ordinal), field[0] if field else None
+
+
+def _refuse_carried(col: Optional[ColumnRef]) -> None:
+    """A row-index column cannot stand in where values are computed with."""
+    ref = _row_ref(col.kind) if col is not None else None
+    if ref is not None:
+        raise _whole_elements(ref[0])
+
+
+def _gather_objects(objects: list, index: np.ndarray, field: Optional[str] = None):
+    """The kept objects a row-index column addresses, or one field of each."""
+    found = map(objects.__getitem__, index.tolist())
+    return list(found if field is None else map(attrgetter(field), found))
 
 
 def _staging_from_ir(
-    ir: QueryIR,
+    ir: QueryIR, defer: bool = False
 ) -> Tuple[Dict[int, StagedSource], Dict[int, int]]:
-    """Derive the staging specs from the shared IR annotations.
+    """Derive the staging specs from the shared IR.
 
     A scan-driven pipeline's leading scan-adjacent filters run managed-side
     (they are *peeled* out of the native chain), and the staging buffer
-    copies exactly the IR's ``staging_fields`` for that source — the
-    implicit projection of §6.2, computed once by the shared
-    required-fields pass.  Returns the specs plus pid → peeled-op count.
+    copies exactly the fields the rest of the plan reads — the implicit
+    projection of §6.2, computed by the shared required-fields pass —
+    plus the row index where whole elements escape.  Returns the specs
+    plus pid → peeled-op count.
     """
     # the native half has no form for these nodes; name them before the
     # whole-element check below, which their outputs would trip first
@@ -203,6 +206,8 @@ def _staging_from_ir(
     for node in chained + [b.node for b in ir.breakers]:
         if isinstance(node, (FlatMap, GroupBy)):
             raise _outside_fragment(node)
+    stripped, _ = strip_scan_filters(ir.plan)
+    required = required_source_fields(stripped, ir.cse, carry=True, defer=defer)
     staged: Dict[int, StagedSource] = {}
     peeled: Dict[int, int] = {}
     for pipeline in ir.pipelines:
@@ -218,25 +223,41 @@ def _staging_from_ir(
             n += 1
         peeled[pipeline.pid] = n
         ordinal = pipeline.driver.ordinal
-        fields = ir.staging_fields.get(ordinal, set())
+        fields = required.get(ordinal, set())
         if fields is None:
-            raise _WholeElements(
-                f"the query uses whole elements of source_{ordinal} beyond "
-                f"the staging boundary; the hybrid engine requires flat "
-                f"field access (use the compiled engine)"
-            )
+            raise _whole_elements(ordinal)
         if ordinal not in staged:
             staged[ordinal] = StagedSource(
                 ordinal=ordinal,
                 predicates=tuple(predicates),
-                fields=tuple(sorted(fields)),
+                fields=tuple(sorted(fields - {ROW})),
+                carries=ROW in fields,
             )
     return staged, peeled
 
 
-# ---------------------------------------------------------------------------
-# Max (full + buffered)
-# ---------------------------------------------------------------------------
+class _StagedPrinter(VectorPrinter):
+    """Vector printer over staged frames: a row-index column is carried
+    into results (:meth:`_HybridEmitter._output_column`), never computed
+    with — comparing, hashing or reading through an element refuses."""
+
+    def _emit(self, expr: Expr) -> str:
+        if isinstance(expr, Var):
+            self._refuse_rows(expr)
+        return super()._emit(expr)
+
+    def _resolve_var(self, expr: Member) -> Tuple[Frame, Optional[str]]:
+        self._refuse_rows(expr)
+        return super()._resolve_var(expr)
+
+    def _refuse_rows(self, expr: Expr) -> None:
+        while isinstance(expr, Member) and isinstance(expr.target, Member):
+            expr = expr.target  # a field read through a carried element
+        owner = expr.target if isinstance(expr, Member) else expr
+        frame, _ = self.env.get(getattr(owner, "name", None), (None, None))
+        if frame is not None:
+            col = frame.columns.get(expr.name) if isinstance(expr, Member) else None
+            _refuse_carried(col or frame.columns.get(Frame.SINGLE))
 
 
 class _HybridEmitter(_VectorEmitter):
@@ -245,6 +266,8 @@ class _HybridEmitter(_VectorEmitter):
     Scans read staged arrays instead of sources; the peeled leading
     filters of each pipeline become the staging loop's predicate.
     """
+
+    printer_type = _StagedPrinter
 
     def __init__(
         self,
@@ -265,72 +288,34 @@ class _HybridEmitter(_VectorEmitter):
         self._page_bytes = page_bytes
         #: ordinal → ("array", var) or ("count", var)
         self._bindings: Dict[int, Tuple[str, str]] = {}
+        #: ordinal → (kept-objects list, row-index column) of carrying sources
+        self._kept: Dict[int, Tuple[str, str]] = {}
         self._stream_node: Optional[Plan] = None
         self._stream_ordinal: Optional[int] = None
 
     # -- module assembly --------------------------------------------------------
 
     def emit_module(self) -> Tuple[str, Dict[str, Any], bool]:
-        if self._buffered:
-            self._stream_node, self._stream_ordinal = _find_stream_target(
-                self.ir.plan, self._staged
-            )
-
-        body = SourceWriter()
-        self.writer = body
-        for ordinal, spec in sorted(self._staged.items()):
-            if ordinal == self._stream_ordinal:
-                continue  # staged page-by-page inside the stream operator
-            self._emit_full_staging(spec)
-        for pipeline in self.ir.pipelines:
-            self._emit_pipeline(pipeline)
-        if self.ir.scalar:
-            body.line(f"return {self._scalar_result(self.ir.plan)}")
-        else:
-            frame = self._concat_frames(self._terminal_frames)
-            body.line(f"return {self._emit_result(frame)}")
-
-        header = SourceWriter()
-        header.line('"""Query code generated by repro.codegen.hybrid_backend."""')
-        header.line()
-        with header.block("def execute(sources, _params):"):
-            for param_name, code_name in self._param_names.items():
-                header.line(f"{code_name} = _params[{param_name!r}]")
-            for line in body.text().splitlines():
-                header.line(line) if line.strip() else header.line()
-
-        namespace = self._base_namespace()
-        return header.text(), namespace, self.ir.scalar
-
-    def _base_namespace(self) -> Dict[str, Any]:
-        namespace = dict(self.namespace)
+        source, namespace, scalar = super().emit_module()
         namespace.update(
-            _np=np,
-            _group_aggregate=_vec.group_aggregate,
-            _hash_join=_vec.hash_join_indexes,
-            _left_join=_vec.left_join_indexes,
-            _semi_mask=_vec.semi_join_mask,
-            _gather_defaulted=_vec.gather_defaulted,
-            _multiset_mask=_vec.multiset_mask,
-            _sort_indexes=_vec.sort_indexes,
-            _topn_indexes=_vec.topn_indexes,
-            _distinct_indexes=_vec.distinct_indexes,
-            _decode_rows=_vec.decode_rows,
-            _decode_values=_vec.decode_values,
-            _coerce_str=_vec.coerce_str,
-            _coerce_date=_vec.coerce_date,
-            _EmptyAggregateError=_hybrid_empty_error,
-            _days_to_date=days_to_date,
-            _BufferList=BufferList,
-            _StreamingBuffer=StreamingBuffer,
             _StreamingGroupAggregator=StreamingGroupAggregator,
             _StreamingJoinProbe=StreamingJoinProbe,
             _enc_str=_enc_str,
             _to_days=date_to_days,
             _morsel_slice=morsel_slice,
-            _cancel_check=cancel_check,
         )
-        return namespace
+        return source, namespace, scalar
+
+    def _emit_body(self) -> None:
+        if self._buffered and not any(s.carries for s in self._staged.values()):
+            self._stream_node, self._stream_ordinal = _find_stream_target(
+                self.ir.plan, self._staged
+            )
+        for ordinal, spec in sorted(self._staged.items()):
+            if ordinal == self._stream_ordinal:
+                continue  # staged page-by-page inside the stream operator
+            self._emit_full_staging(spec)
+        super()._emit_body()
 
     def _staging_source(self, ordinal: int) -> str:
         """The managed iterable staging reads: morsel-sliced on the driver."""
@@ -385,45 +370,55 @@ class _HybridEmitter(_VectorEmitter):
         trailing = "," if len(parts) == 1 else ""
         return f"({', '.join(parts)}{trailing})"
 
+    def _staging_loop(
+        self, spec: StagedSource, elem: str, predicate, emit_stage
+    ) -> None:
+        """The managed loop over one source: the peeled predicate (and its
+        CSE bindings), then *emit_stage* for each kept element."""
+        with self.writer.block(f"for {elem} in {self._staging_source(spec.ordinal)}:"):
+            if predicate:
+                lines, test = predicate
+                self.writer.lines(lines)
+                with self.writer.block(f"if {test}:"):
+                    emit_stage()
+            else:
+                emit_stage()
+
     def _emit_full_staging(self, spec: StagedSource) -> None:
-        """Stage one source completely into a page list (§6.1.1)."""
+        """Stage one source completely into one array (§6.1.1)."""
         # staging precedes every pipeline (and can dominate the runtime),
         # so it gets its own cancellation checkpoint
         self.writer.line("_cancel_check(_params)")
         elem = self.names.fresh("elem")
         predicate = self._staging_predicate(spec, elem)
-        if not spec.fields:
+        stage: List[str] = []  # the statements run per kept element
+        if spec.fields:
+            dtype_var = self._bind(spec.schema.numpy_dtype(), "dtype")
+            rows = self.names.fresh("rows")
+            append = self.names.fresh("append")
+            self.writer.line(f"{rows} = []")
+            self.writer.line(f"{append} = {rows}.append")
+            stage.append(f"{append}({self._encoded_fields(spec, elem)})")
+        if spec.carries:
+            objs = self.names.fresh("objs")
+            keep = self.names.fresh("keep")
+            self.writer.line(f"{objs} = []")
+            self.writer.line(f"{keep} = {objs}.append")
+            stage.append(f"{keep}({elem})")
+        if not stage:
             # nothing to copy: only the qualifying-row count survives
             counter = self.names.fresh("count")
             self.writer.line(f"{counter} = 0")
-            with self.writer.block(
-                f"for {elem} in {self._staging_source(spec.ordinal)}:"
-            ):
-                if predicate:
-                    lines, test = predicate
-                    for line in lines:
-                        self.writer.line(line)
-                    with self.writer.block(f"if {test}:"):
-                        self.writer.line(f"{counter} += 1")
-                else:
-                    self.writer.line(f"{counter} += 1")
-            self._bindings[spec.ordinal] = ("count", counter)
+            stage.append(f"{counter} += 1")
+        self._staging_loop(spec, elem, predicate, lambda: self.writer.lines(stage))
+        if spec.carries:
+            row = self.names.fresh("row")
+            self.writer.line(f"{row} = _np.arange(len({objs}))")
+            self._kept[spec.ordinal] = (objs, row)
+        if not spec.fields:
+            length = f"{row}.shape[0]" if spec.carries else counter
+            self._bindings[spec.ordinal] = ("count", length)
             return
-        dtype_var = self._bind(spec.schema.numpy_dtype(), "dtype")
-        rows = self.names.fresh("rows")
-        append = self.names.fresh("append")
-        self.writer.line(f"{rows} = []")
-        self.writer.line(f"{append} = {rows}.append")
-        with self.writer.block(f"for {elem} in {self._staging_source(spec.ordinal)}:"):
-            stage = f"{append}({self._encoded_fields(spec, elem)})"
-            if predicate:
-                lines, test = predicate
-                for line in lines:
-                    self.writer.line(line)
-                with self.writer.block(f"if {test}:"):
-                    self.writer.line(stage)
-            else:
-                self.writer.line(stage)
         staged_var = self.names.fresh("staged")
         # the bulk conversion is the copy into native memory (§6.1.1)
         self.writer.line(
@@ -447,23 +442,14 @@ class _HybridEmitter(_VectorEmitter):
         self.writer.line(f"{append} = {page}.append")
         elem = self.names.fresh("elem")
         predicate = self._staging_predicate(spec, elem)
-        with self.writer.block(f"for {elem} in {self._staging_source(spec.ordinal)}:"):
-            def emit_stage() -> None:
-                self.writer.line(f"{append}({self._encoded_fields(spec, elem)})")
-                with self.writer.block(f"if len({page}) >= {capacity}:"):
-                    self.writer.line(
-                        f"{consumer}(_np.array({page}, dtype={dtype_var}))"
-                    )
-                    self.writer.line(f"del {page}[:]")
 
-            if predicate:
-                lines, test = predicate
-                for line in lines:
-                    self.writer.line(line)
-                with self.writer.block(f"if {test}:"):
-                    emit_stage()
-            else:
-                emit_stage()
+        def emit_stage() -> None:
+            self.writer.line(f"{append}({self._encoded_fields(spec, elem)})")
+            with self.writer.block(f"if len({page}) >= {capacity}:"):
+                self.writer.line(f"{consumer}(_np.array({page}, dtype={dtype_var}))")
+                self.writer.line(f"del {page}[:]")
+
+        self._staging_loop(spec, elem, predicate, emit_stage)
         with self.writer.block(f"if {page}:"):
             self.writer.line(f"{consumer}(_np.array({page}, dtype={dtype_var}))")
 
@@ -501,14 +487,103 @@ class _HybridEmitter(_VectorEmitter):
     ) -> Frame:
         kind, var = self._bindings[scan.ordinal]
         if kind == "count":
-            return Frame({}, var)
-        schema = self._staged[scan.ordinal].schema
+            frame = Frame({}, var)
+        else:
+            schema = self._staged[scan.ordinal].schema
+            columns = {
+                f.name: ColumnRef(f"{var}[{f.name!r}]", f.kind)
+                for f in schema.fields
+                if needed is None or f.name in needed
+            }
+            frame = Frame(columns, f"{var}.shape[0]")
+        if scan.ordinal in self._kept:
+            _, row = self._kept[scan.ordinal]
+            frame.columns[ROW] = ColumnRef(row, f"row:{scan.ordinal}")
+        return frame
+
+    # -- row indexes: whole elements carried through the native half ---------------
+
+    def _materialize(
+        self, frame: Frame, suffix: str, needed: Optional[Set[str]]
+    ) -> Frame:
+        if needed is not None and ROW in frame.columns:
+            needed = needed | {ROW}  # the element travels with its fields
+        return super()._materialize(frame, suffix, needed)
+
+    def _concat_frames(self, frames: List[Frame]) -> Frame:
+        if len(frames) > 1:  # indexes into different object lists
+            for frame in frames:
+                for col in frame.columns.values():
+                    _refuse_carried(col)
+        return super()._concat_frames(frames)
+
+    def _output_column(self, expr: Expr, printer: VectorPrinter) -> ColumnRef:
+        """A whole element a result embeds crosses as its row index; so
+        does a field copied from one that no native operator reads (it was
+        not staged: ``minimal``), read off the object at delivery."""
+        if isinstance(expr, Var):
+            owner, name = expr, ROW
+        elif isinstance(expr, Member) and isinstance(expr.target, Var):
+            owner, name = expr.target, expr.name
+        else:
+            return super()._output_column(expr, printer)
+        frame, index = printer.env.get(owner.name, (None, None))
+        if frame is None:
+            return super()._output_column(expr, printer)
+        if name == ROW and frame.is_single:
+            name = Frame.SINGLE
+        col = frame.columns.get(name)
+        if col is None and ROW in frame.columns:
+            row = frame.columns[ROW]
+            col = ColumnRef(row.code, f"{row.kind}:{name}")
+        if col is None or _row_ref(col.kind) is None:
+            return super()._output_column(expr, printer)
+        return ColumnRef(self._vector(printer._gather(col.code, index)), col.kind)
+
+    def _result_columns(
+        self, frame: Frame, paths: Set[str]
+    ) -> Optional[Set[str]]:
+        if ROW not in frame.columns:
+            return super()._result_columns(frame, paths)
+        fields = {path.split(".")[0] for path in paths}
+        return {f if f in frame.columns else ROW for f in fields}
+
+    def _default_codes(
+        self, op: Join, right: Frame, right_needed: Set[str]
+    ) -> Dict[str, str]:
+        """An unmatched probe row pairs with the default element: it is
+        appended to the build side's kept objects, where the row index of
+        an unmatched row points."""
+        flat = right_needed - {ROW}
+        for name in flat:  # no default stands in for a carried column
+            _refuse_carried(right.column(name))
+        codes = super()._default_codes(op, right, flat) if flat else {}
+        if ROW in right_needed:
+            objs, _ = self._kept[_row_ref(right.columns[ROW].kind)[0]]
+            codes[ROW] = self.names.fresh("dflt")
+            self.writer.line(f"{codes[ROW]} = len({objs})")
+            default = self._python_printer().emit(op.default)
+            self.writer.line(f"{objs}.append({default})")
+        return codes
+
+    def _emit_result(self, frame: Frame, whole_rows: bool = False) -> str:
+        """Results carrying row indexes look the kept objects back up."""
+        if ROW in frame.columns:  # the source elements themselves
+            return self._look_up(frame.columns[ROW])
         columns = {
-            f.name: ColumnRef(f"{var}[{f.name!r}]", f.kind)
-            for f in schema.fields
-            if needed is None or f.name in needed
+            name: ColumnRef(self._look_up(col), "object")
+            if _row_ref(col.kind)
+            else col
+            for name, col in frame.columns.items()
         }
-        return Frame(columns, f"{var}.shape[0]")
+        return super()._emit_result(Frame(columns, frame.length_code))
+
+    def _look_up(self, col: ColumnRef) -> str:
+        ordinal, field = _row_ref(col.kind)
+        objs, _ = self._kept[ordinal]
+        self.namespace["_gather_objects"] = _gather_objects
+        extra = f", {field!r}" if field is not None else ""
+        return f"_gather_objects({objs}, {col.code}{extra})"
 
     # -- page frames (shared by the streaming operators) ---------------------------
 
@@ -748,10 +823,6 @@ def _placeholder_dtype(kind: str) -> str:
     }.get(kind, "float64")
 
 
-def _hybrid_empty_error():
-    return ExecutionError("aggregate of an empty sequence has no value")
-
-
 def _find_stream_target(
     plan: Plan, staged: Dict[int, StagedSource]
 ) -> Tuple[Optional[Plan], Optional[int]]:
@@ -800,264 +871,3 @@ def _find_stream_target(
         return None, None
 
     return find(plan)
-
-
-# ---------------------------------------------------------------------------
-# Min — ship keys and indexes only, build results from objects
-# ---------------------------------------------------------------------------
-
-
-class _MinEmitter:
-    """Generates the Min-staging program for the supported plan shapes."""
-
-    def __init__(self):
-        self.writer = SourceWriter()
-        self.namespace: Dict[str, Any] = {}
-        self._param_names: Dict[str, str] = {}
-        self.names = NameAllocator()
-
-    def _render_param(self, name: str) -> str:
-        code_name = self._param_names.get(name)
-        if code_name is None:
-            sanitized = "".join(c if c.isalnum() else "_" for c in name)
-            code_name = f"_param_{sanitized}"
-            self._param_names[name] = code_name
-        return code_name
-
-    def _printer(self) -> _CodeVarPrinter:
-        printer = _CodeVarPrinter(param_render=self._render_param)
-        printer.namespace = self.namespace
-        return printer
-
-    # -- shape detection --------------------------------------------------------
-
-    def emit_module(
-        self, plan: Plan, sources: Sequence[Any]
-    ) -> Tuple[str, Dict[str, Any], bool]:
-        post_ops: List[Tuple[str, Lambda]] = []
-        node = plan
-        while True:
-            if isinstance(node, Project):
-                post_ops.append(("project", node.selector))
-                node = node.child
-            elif isinstance(node, Filter) and isinstance(node.child, (Join,)):
-                post_ops.append(("filter", node.predicate))
-                node = node.child
-            else:
-                break
-        post_ops.reverse()
-
-        body = SourceWriter()
-        self.writer = body
-        # the Min program is one staged native operation; a single
-        # entry checkpoint keeps it cancellable like the IR pipelines
-        body.line("_cancel_check(_params)")
-        if isinstance(node, (Sort, TopN)):
-            self._emit_sort_min(node, post_ops)
-        elif isinstance(node, Join):
-            self._emit_join_min(node, post_ops)
-        else:
-            raise UnsupportedQueryError(
-                "Min staging only supports a single sort/top-N or inner join "
-                "as the native operation (the paper's §7.4 restriction); use "
-                "the Max variant for complex queries"
-            )
-
-        header = SourceWriter()
-        header.line('"""Query code generated by repro.codegen.hybrid_backend (Min)."""')
-        header.line()
-        with header.block("def execute(sources, _params):"):
-            for param_name, code_name in self._param_names.items():
-                header.line(f"{code_name} = _params[{param_name!r}]")
-            for line in body.text().splitlines():
-                header.line(line) if line.strip() else header.line()
-
-        namespace = dict(self.namespace)
-        namespace.update(
-            _np=np,
-            _sort_indexes=_vec.sort_indexes,
-            _topn_indexes=_vec.topn_indexes,
-            _hash_join=_vec.hash_join_indexes,
-            _native_key=_native_key,
-            _cancel_check=cancel_check,
-        )
-        return header.text(), namespace, False
-
-    # -- helpers -------------------------------------------------------------------
-
-    def _scan_chain(self, node: Plan) -> Tuple[int, List[Lambda]]:
-        predicates: List[Lambda] = []
-        while isinstance(node, Filter):
-            predicates.append(node.predicate)
-            node = node.child
-        if not isinstance(node, Scan):
-            raise UnsupportedQueryError(
-                "Min staging only supports (filtered) scans and joins below "
-                "the native operator"
-            )
-        return node.ordinal, list(reversed(predicates))
-
-    def _materialize_min(self, node: Plan) -> str:
-        """Emit code producing a Python list of this subtree's elements.
-
-        Scan chains filter managed-side and retain object references; join
-        subtrees ship keys to the native kernel and build result records
-        managed-side — recursively, so the Figure-11 three-relation join
-        works under Min staging too.
-        """
-        if isinstance(node, (Filter, Scan)):
-            ordinal, predicates = self._scan_chain(node)
-            objs, _ = self._stage_objects_and_keys(ordinal, predicates, [])
-            return objs
-        if isinstance(node, Join):
-            out = self.names.fresh("joined")
-            self.writer.line(f"{out} = []")
-            self._emit_join_matches(
-                node,
-                lambda lo, ro: self.writer.line(
-                    f"{out}.append("
-                    + self._printer().emit(
-                        substitute(
-                            node.result.body,
-                            {
-                                node.result.params[0]: Var(lo),
-                                node.result.params[1]: Var(ro),
-                            },
-                        )
-                    )
-                    + ")"
-                ),
-            )
-            return out
-        raise UnsupportedQueryError(
-            "Min staging only supports (filtered) scans and joins below the "
-            "native operator"
-        )
-
-    def _emit_join_matches(self, node: Join, consume) -> None:
-        """Stage both sides, run the native join kernel, loop the matches."""
-        if node.kind != "inner":
-            # the kernel reports matching pairs only: no unmatched-row
-            # defaults (left) and no existence tests (semi / anti)
-            raise UnsupportedQueryError(
-                f"Min staging only supports inner joins, not {node.kind} "
-                f"joins; use the Max variant"
-            )
-        left_objs = self._materialize_min(node.left)
-        right_objs = self._materialize_min(node.right)
-        larr = self._key_array(left_objs, node.left_key)
-        rarr = self._key_array(right_objs, node.right_key)
-        li = self.names.fresh("li")
-        ri = self.names.fresh("ri")
-        self.writer.line(f"{li}, {ri} = _hash_join({larr}, {rarr})")
-        k = self.names.fresh("k")
-        with self.writer.block(f"for {k} in range({li}.shape[0]):"):
-            lo = self.names.fresh("lo")
-            ro = self.names.fresh("ro")
-            self.writer.line(f"{lo} = {left_objs}[{li}[{k}]]")
-            self.writer.line(f"{ro} = {right_objs}[{ri}[{k}]]")
-            consume(lo, ro)
-
-    def _key_array(self, objs_var: str, key: Lambda) -> str:
-        """Extract one key per retained object into a native array."""
-        printer = self._printer()
-        keys = self.names.fresh("keys")
-        elem = self.names.fresh("elem")
-        body = substitute(key.body, {key.params[0]: Var(elem)})
-        self.writer.line(
-            f"{keys} = [_native_key({printer.emit(body)}) "
-            f"for {elem} in {objs_var}]"
-        )
-        arr = self.names.fresh("karr")
-        self.writer.line(f"{arr} = _np.asarray({keys})")
-        return arr
-
-    def _stage_objects_and_keys(
-        self, ordinal: int, predicates: List[Lambda], key_lambdas: List[Lambda]
-    ) -> Tuple[str, List[str]]:
-        """Managed loop retaining objects and collecting native key lists."""
-        printer = self._printer()
-        objs = self.names.fresh("objs")
-        key_lists = [self.names.fresh("keys") for _ in key_lambdas]
-        self.writer.line(f"{objs} = []")
-        for kl in key_lists:
-            self.writer.line(f"{kl} = []")
-        elem = self.names.fresh("elem")
-        with self.writer.block(f"for {elem} in sources[{ordinal}]:"):
-            emitters = []
-            for lam in key_lambdas:
-                body = substitute(lam.body, {lam.params[0]: Var(elem)})
-                emitters.append(printer.emit(body))
-            appends = [f"{objs}.append({elem})"] + [
-                f"{kl}.append(_native_key({code}))"
-                for kl, code in zip(key_lists, emitters)
-            ]
-            if predicates:
-                parts = [
-                    printer.emit(substitute(p.body, {p.params[0]: Var(elem)}))
-                    for p in predicates
-                ]
-                with self.writer.block(f"if {' and '.join(parts)}:"):
-                    for line in appends:
-                        self.writer.line(line)
-            else:
-                for line in appends:
-                    self.writer.line(line)
-        return objs, key_lists
-
-    def _emit_post_ops(self, element_code: str, post_ops: List[Tuple[str, Lambda]]):
-        """Apply trailing filters/projections in managed code, then yield."""
-        printer = self._printer()
-        current = self.names.fresh("out")
-        self.writer.line(f"{current} = {element_code}")
-        for op, lam in post_ops:
-            body = substitute(lam.body, {lam.params[0]: Var(current)})
-            if op == "filter":
-                with self.writer.block(f"if not ({printer.emit(body)}):"):
-                    self.writer.line("continue")
-            else:
-                nxt = self.names.fresh("out")
-                self.writer.line(f"{nxt} = {printer.emit(body)}")
-                current = nxt
-        self.writer.line(f"yield {current}")
-
-    # -- sort / top-N -------------------------------------------------------------------
-
-    def _emit_sort_min(self, node: Plan, post_ops: List[Tuple[str, Lambda]]) -> None:
-        objs = self._materialize_min(node.child)
-        arrays = [self._key_array(objs, key) for key in node.keys]
-        dirs = repr(tuple(node.descending))
-        order = self.names.fresh("order")
-        if isinstance(node, TopN):
-            count_code = self._printer().emit(node.count)
-            self.writer.line(
-                f"{order} = _topn_indexes(({', '.join(arrays)},), {dirs}, {count_code})"
-            )
-        else:
-            self.writer.line(
-                f"{order} = _sort_indexes(({', '.join(arrays)},), {dirs})"
-            )
-        i = self.names.fresh("i")
-        with self.writer.block(f"for {i} in {order}:"):
-            self._emit_post_ops(f"{objs}[{i}]", post_ops)
-
-    # -- join ---------------------------------------------------------------------------
-
-    def _emit_join_min(self, node: Join, post_ops: List[Tuple[str, Lambda]]) -> None:
-        printer = self._printer()
-
-        def consume(lo: str, ro: str) -> None:
-            result_body = substitute(
-                node.result.body,
-                {node.result.params[0]: Var(lo), node.result.params[1]: Var(ro)},
-            )
-            self._emit_post_ops(printer.emit(result_body), post_ops)
-
-        self._emit_join_matches(node, consume)
-
-
-def _native_key(value: Any) -> Any:
-    """Convert a managed key value to its native (sortable) form."""
-    if isinstance(value, datetime.date):
-        return date_to_days(value)
-    return value

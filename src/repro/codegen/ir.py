@@ -45,14 +45,16 @@ from ..expressions.nodes import (
     Conditional,
     Expr,
     Lambda,
+    Member,
     Method,
+    New,
     Unary,
     Var,
     children as _expr_children,
     structural_key,
     walk,
 )
-from ..expressions.visitor import Transformer, substitute
+from ..expressions.visitor import Transformer
 from ..plans.logical import (
     AggregateSpec,
     Concat,
@@ -86,11 +88,11 @@ __all__ = [
     "lambda_fields",
     "paths_to_fields",
     "merge_fields",
+    "ROW",
     "required_source_fields",
     "strip_scan_filters",
     "rebuild_plan",
     "eliminate_common_subexpressions",
-    "expand_cse",
     "physical_slots",
 ]
 
@@ -162,14 +164,29 @@ def merge_fields(
     return a | b
 
 
+#: the row-index pseudo-field: a source element that only escapes the
+#: native half — is returned, or embedded whole in a join or projection
+#: result — crosses the hybrid staging boundary as its position in the
+#: staged object list, and delivery looks the object back up (§6)
+ROW = "__row"
+
+
 def required_source_fields(
-    plan: Plan, cse: Optional[CseTable] = None
+    plan: Plan,
+    cse: Optional[CseTable] = None,
+    carry: bool = False,
+    defer: bool = False,
 ) -> Dict[int, Optional[Set[str]]]:
     """Map scan ordinal → fields the plan reads above it (None = whole).
 
-    The per-source *source mapping* of Figure 6, shared by hybrid staging
-    (copy exactly these fields) and native column pruning (materialize
-    exactly these columns).
+    The per-source *source mapping* of Figure 6, shared by native column
+    pruning (materialize exactly these columns) and hybrid staging (copy
+    exactly these fields).  ``None`` absorbs: an element that an operator
+    compares, hashes or computes with is needed whole.  With *carry*, an
+    element that only escapes adds :data:`ROW` instead.  *defer* (with
+    *carry*) also ships a result field copied straight from an element as
+    ROW, unless a later operator reads it: it is read from the object at
+    delivery (Min result construction, §6).
     """
     usage: Dict[int, Optional[Set[str]]] = {}
 
@@ -185,6 +202,35 @@ def required_source_fields(
             usage.setdefault(ordinal, set())
             usage[ordinal] |= fields  # type: ignore[operator]
 
+    def result_fields(
+        lam: Lambda, index: int, needed: Optional[Set[str]], defer: bool = defer
+    ) -> Optional[Set[str]]:
+        """Fields of parameter *index* that a projection or join result
+        reads; an escaping result (*needed* not None) carries a bare
+        element, or a deferred field copy, as ROW."""
+        if not carry:
+            return lam_fields(lam, index)
+        param = Var(lam.params[index])
+        body = lam.body
+        entries = body.fields if isinstance(body, New) else ((None, body),)
+        paths: Set[str] = set()
+        carried = False
+        for name, expr in entries:
+            if needed is not None and (
+                expr == param
+                or defer
+                and isinstance(expr, Member)
+                and expr.target == param
+                and (name is None or name not in needed)
+            ):
+                carried = True
+            else:
+                paths |= member_usage(expr).get(param.name, set())
+        for binding in (cse or {}).get(id(lam), ()):
+            paths |= member_usage(binding.expr).get(param.name, set())
+        fields = paths_to_fields(paths)
+        return fields | {ROW} if carried and fields is not None else fields
+
     def visit(plan: Plan, needed: Optional[Set[str]]) -> None:
         if isinstance(plan, Scan):
             merge(plan.ordinal, needed)
@@ -193,7 +239,7 @@ def required_source_fields(
             visit(plan.child, merge_fields(needed, lam_fields(plan.predicate)))
             return
         if isinstance(plan, Project):
-            visit(plan.child, lam_fields(plan.selector))
+            visit(plan.child, result_fields(plan.selector, 0, needed))
             return
         if isinstance(plan, FlatMap):
             inner = lam_fields(plan.collection)
@@ -208,10 +254,11 @@ def required_source_fields(
                 visit(plan.left, merge_fields(needed, lam_fields(plan.left_key)))
                 visit(plan.right, lam_fields(plan.right_key))
                 return
-            left_var, right_var = plan.result.params
-            res_usage = lambda_usage(plan.result, cse)
-            left_fields = paths_to_fields(res_usage.get(left_var, set()))
-            right_fields = paths_to_fields(res_usage.get(right_var, set()))
+            left_fields = result_fields(plan.result, 0, needed)
+            # an unmatched left-join row reads its fields off the default
+            right_fields = result_fields(
+                plan.result, 1, needed, defer and plan.kind == "inner"
+            )
             visit(plan.left, merge_fields(left_fields, lam_fields(plan.left_key)))
             visit(
                 plan.right, merge_fields(right_fields, lam_fields(plan.right_key))
@@ -257,7 +304,7 @@ def required_source_fields(
         for child in plan_children(plan):
             visit(child, None)
 
-    visit(plan, None)
+    visit(plan, {ROW} if carry else None)
     return usage
 
 
@@ -453,19 +500,6 @@ def eliminate_common_subexpressions(
     return Lambda(lam.params, body, lam.effects), tuple(bindings)
 
 
-def expand_cse(lam: Lambda, bindings: Sequence[CseBinding]) -> Lambda:
-    """Substitute bindings back, recovering the original lambda body.
-
-    Bindings may reference earlier bindings, so expansion runs in reverse
-    order.  Used by backends that need the un-CSE'd expression (e.g. the
-    hybrid Min emitter's per-object interpretation).
-    """
-    body = lam.body
-    for binding in reversed(list(bindings)):
-        body = substitute(body, {binding.name: binding.expr})
-    return Lambda(lam.params, body, lam.effects)
-
-
 # ---------------------------------------------------------------------------
 # Physical aggregate slot planning (shared: python backend + parallel merge)
 # ---------------------------------------------------------------------------
@@ -635,9 +669,6 @@ class QueryIR:
     cse: CseTable
     #: whole-plan scan ordinal → fields read (None = whole elements)
     source_fields: Dict[int, Optional[Set[str]]]
-    #: like source_fields, but beyond the hybrid staging boundary
-    #: (scan-adjacent filter predicates excluded — they run managed-side)
-    staging_fields: Dict[int, Optional[Set[str]]]
     #: the morsel-parallel decision (codegen/lower.ParallelSplit)
     split: Any
     morsel_ordinal: Optional[int]

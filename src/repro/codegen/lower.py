@@ -66,7 +66,6 @@ from .ir import (
     eliminate_common_subexpressions,
     rebuild_plan,
     required_source_fields,
-    strip_scan_filters,
 )
 
 __all__ = [
@@ -115,8 +114,6 @@ def lower_plan(
     plan = _decompose_filters(plan, cse)
     pipelines, breakers = _segment(plan)
     source_fields = required_source_fields(plan, cse)
-    stripped, _ = strip_scan_filters(plan)
-    staging_fields = required_source_fields(stripped, cse)
     for pipeline in pipelines:
         # every pipeline head is a cancellation checkpoint: the coarsest
         # granularity that still bounds how long a cancelled query keeps
@@ -138,7 +135,6 @@ def lower_plan(
         breakers=tuple(breakers),
         cse=cse,
         source_fields=source_fields,
-        staging_fields=staging_fields,
         split=split,
         morsel_ordinal=morsel_ordinal,
         scalar=isinstance(plan, ScalarAggregate),

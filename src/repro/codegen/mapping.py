@@ -3,11 +3,11 @@
 The hybrid engine must copy object data into flat native memory.  Three
 questions decide what the staging code looks like:
 
-1. **Which fields does the query actually touch?** Lowering answers it:
-   the IR's ``staging_fields`` (the shared required-fields pass over the
-   plan with scan-adjacent filters stripped).  Only those are copied —
-   the paper's *implicit projection* driven by the source mapping of
-   Figure 6.
+1. **Which fields does the query actually touch?** The shared
+   required-fields pass over the plan with scan-adjacent filters stripped
+   answers it.  Only those are copied — the paper's *implicit projection*
+   driven by the source mapping of Figure 6 — plus a row index when whole
+   elements escape.
 2. **What are their native types?** (`infer_object_schema`, here) C#
    answers by reflection; Python objects carry no static types, so we
    sample the collection and derive dtypes (string widths are measured
@@ -149,6 +149,9 @@ class StagedSource:
     fields: Tuple[str, ...]
     #: native layout of the staged rows
     schema: Schema = field(default=None)  # type: ignore[assignment]
+    #: whole elements escape: the kept objects are listed managed-side and
+    #: their row indexes cross as one more column (Min, §6)
+    carries: bool = False
 
 
 def staged_schema_for(

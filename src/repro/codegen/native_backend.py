@@ -412,6 +412,8 @@ class NativeBackend:
 class _VectorEmitter:
     """Walks the IR pipelines in schedule order, one frame sequence each."""
 
+    printer_type = VectorPrinter
+
     def __init__(
         self,
         schemas,
@@ -446,47 +448,26 @@ class _VectorEmitter:
     def emit_module(self) -> Tuple[str, Dict[str, Any], bool]:
         body = SourceWriter()
         self.writer = body
-        for pipeline in self.ir.pipelines:
-            self._emit_pipeline(pipeline)
-        if self.ir.scalar:
-            body.line(f"return {self._scalar_result(self.ir.plan)}")
-        else:
-            frame = self._concat_frames(self._terminal_frames)
-            body.line(
-                f"return {self._emit_result(frame, _preserves_rows(self.ir.plan))}"
-            )
-
+        self._emit_body()
         header = SourceWriter()
-        header.line('"""Query code generated by repro.codegen.native_backend."""')
+        header.line(f'"""Query code generated by {type(self).__module__}."""')
         header.line()
         with header.block("def execute(sources, _params):"):
             for param_name, code_name in self._param_names.items():
                 header.line(f"{code_name} = _params[{param_name!r}]")
             for line in body.text().splitlines():
                 header.line(line) if line.strip() else header.line()
+        return header.text(), {**self.namespace, **_RUNTIME}, self.ir.scalar
 
-        namespace = dict(self.namespace)
-        namespace.update(
-            _np=np,
-            _group_aggregate=_vec.group_aggregate,
-            _hash_join=_vec.hash_join_indexes,
-            _left_join=_vec.left_join_indexes,
-            _semi_mask=_vec.semi_join_mask,
-            _gather_defaulted=_vec.gather_defaulted,
-            _multiset_mask=_vec.multiset_mask,
-            _sort_indexes=_vec.sort_indexes,
-            _topn_indexes=_vec.topn_indexes,
-            _distinct_indexes=_vec.distinct_indexes,
-            _decode_rows=_vec.decode_rows,
-            _decode_values=_vec.decode_values,
-            _view_rows=_vec.view_rows,
-            _coerce_str=_vec.coerce_str,
-            _coerce_date=_vec.coerce_date,
-            _EmptyAggregateError=_empty_aggregate_error,
-            _days_to_date=days_to_date,
-            _cancel_check=cancel_check,
-        )
-        return header.text(), namespace, self.ir.scalar
+    def _emit_body(self) -> None:
+        for pipeline in self.ir.pipelines:
+            self._emit_pipeline(pipeline)
+        if self.ir.scalar:
+            self.writer.line(f"return {self._scalar_result(self.ir.plan)}")
+        else:
+            frame = self._concat_frames(self._terminal_frames)
+            whole_rows = _preserves_rows(self.ir.plan)
+            self.writer.line(f"return {self._emit_result(frame, whole_rows)}")
 
     def _render_param(self, name: str) -> str:
         code_name = self._param_names.get(name)
@@ -497,7 +478,7 @@ class _VectorEmitter:
         return code_name
 
     def _printer(self, env: Dict[str, Tuple[Frame, Optional[str]]]) -> VectorPrinter:
-        printer = VectorPrinter(env, self._render_param, self.namespace)
+        printer = self.printer_type(env, self._render_param, self.namespace)
         printer.guard_divisions = not self._elide_division_guards
         return printer
 
@@ -776,8 +757,8 @@ class _VectorEmitter:
             return out
         left_var, right_var = op.result.params
         usage = lambda_usage(op.result, self.ir.cse)
-        right_needed = paths_to_fields(usage.get(right_var, set()))
-        if paths_to_fields(usage.get(left_var, set())) is None or (
+        right_needed = self._result_columns(right, usage.get(right_var, set()))
+        if self._result_columns(frame, usage.get(left_var, set())) is None or (
             right_needed is None
         ):
             raise UnsupportedQueryError(
@@ -815,6 +796,12 @@ class _VectorEmitter:
         return self._build_output_frame(
             op.result.body, printer, f"{li}.shape[0]", need
         )
+
+    def _result_columns(
+        self, frame: Frame, paths: Set[str]
+    ) -> Optional[Set[str]]:
+        """Columns of *frame* a join result reads (None = whole records)."""
+        return paths_to_fields(paths)
 
     def _default_codes(
         self, op: Join, right: Frame, right_needed: Set[str]
@@ -903,13 +890,14 @@ class _VectorEmitter:
             for name, expr in body.fields:
                 if needed is not None and name not in needed:
                     continue
-                var = self._vector(printer.emit(expr))
-                columns[name] = ColumnRef(var, printer.kind_of(expr))
+                columns[name] = self._output_column(expr, printer)
             return Frame(columns, length_code)
-        var = self._vector(printer.emit(body))
-        return Frame(
-            {Frame.SINGLE: ColumnRef(var, printer.kind_of(body))}, length_code
-        )
+        return Frame({Frame.SINGLE: self._output_column(body, printer)}, length_code)
+
+    def _output_column(self, expr: Expr, printer: VectorPrinter) -> ColumnRef:
+        """One column of a projection or join result, as a fresh vector."""
+        var = self._vector(printer.emit(expr))
+        return ColumnRef(var, printer.kind_of(expr))
 
     # -- index-accelerated point selection (§9 extension) -------------------------
 
@@ -1287,6 +1275,29 @@ def _preserves_rows(plan: Plan) -> bool:
 
 def _empty_aggregate_error():
     return ExecutionError("aggregate of an empty sequence has no value")
+
+
+#: runtime helpers every vector module's namespace binds
+_RUNTIME: Dict[str, Any] = dict(
+    _np=np,
+    _group_aggregate=_vec.group_aggregate,
+    _hash_join=_vec.hash_join_indexes,
+    _left_join=_vec.left_join_indexes,
+    _semi_mask=_vec.semi_join_mask,
+    _gather_defaulted=_vec.gather_defaulted,
+    _multiset_mask=_vec.multiset_mask,
+    _sort_indexes=_vec.sort_indexes,
+    _topn_indexes=_vec.topn_indexes,
+    _distinct_indexes=_vec.distinct_indexes,
+    _decode_rows=_vec.decode_rows,
+    _decode_values=_vec.decode_values,
+    _view_rows=_vec.view_rows,
+    _coerce_str=_vec.coerce_str,
+    _coerce_date=_vec.coerce_date,
+    _EmptyAggregateError=_empty_aggregate_error,
+    _days_to_date=days_to_date,
+    _cancel_check=cancel_check,
+)
 
 
 def _outside_fragment(node: Plan) -> UnsupportedQueryError:

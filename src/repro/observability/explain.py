@@ -45,9 +45,6 @@ _NO_WORKERS = (
     "using(parallelism=n) or REPRO_PARALLELISM)"
 )
 
-#: how a hybrid artifact built with Min result construction reads
-_MIN_NOTE = "Min: only keys and row indexes cross; rows are the source objects"
-
 #: canonical lifecycle ordering for the phase table; unknown span names
 #: sort after these, by first appearance
 _PHASE_ORDER = (
@@ -99,12 +96,12 @@ def _eligible(tier: Tier) -> str:
 
 
 def _pipeline_section(
-    shape: Any, engine: str, minimal: bool
+    shape: Any, engine: str
 ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     """Render the pipeline schedule of the shared IR, one line per
     pipeline (id, driver, fused operators, sink breaker), plus the
-    dataflow-fact lines; a hybrid built with Max additionally shows each
-    pipeline's placement: scan-driven pipelines start in the managed
+    dataflow-fact lines; a hybrid additionally shows each pipeline's
+    placement: scan-driven pipelines start in the managed
     staging loop, breaker-driven ones run native end to end."""
     try:
         ir = shape.ir()
@@ -113,7 +110,7 @@ def _pipeline_section(
     lines = []
     for pipeline in ir.pipelines:
         text = f"p{pipeline.pid}: {pipeline.describe()}"
-        if engine == "hybrid" and not minimal:
+        if engine == "hybrid":
             staged = isinstance(pipeline.driver, Scan)
             text += " [managed staging -> native]" if staged else " [native]"
         lines.append(text)
@@ -138,14 +135,10 @@ class ExplainReport:
     adaptive: str = ""
     #: multi-process decision; empty = nobody requested distribution
     distributed: str = ""
-    #: the artifact was built with Min result construction (hybrid, §6)
-    minimal: bool = False
 
     def render(self) -> str:
         lines = [self.plan_text.rstrip("\n")]
         lines.append(f"engine: {self.engine}")
-        if self.minimal:
-            lines[-1] += f" ({_MIN_NOTE})"
         if self.supported:
             lines.append("capability: supported")
         else:
@@ -195,11 +188,11 @@ def explain_report(
         )
     shape = provider.shape(expr, sources)
     try:
-        minimal = shape.compiled(engine).minimal
+        shape.compiled(engine)
         refusal = ""
     except UnsupportedQueryError as exc:
-        minimal, refusal = False, str(exc)
-    pipelines, facts = _pipeline_section(shape, engine, minimal)
+        refusal = str(exc)
+    pipelines, facts = _pipeline_section(shape, engine)
     options = options.resolved()
     # EXPLAIN is a dry run: the decision is peeked, never explored
     decision = provider.peek_decision(shape, engine, options.adaptive)
@@ -235,7 +228,6 @@ def explain_report(
         parallel=parallel,
         adaptive=decision.describe() if decision is not None else "",
         distributed=distributed,
-        minimal=minimal,
     )
 
 

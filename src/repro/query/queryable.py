@@ -15,9 +15,9 @@ engine             paper analogue
 ``linq``           LINQ-to-objects: interpreted operator-at-a-time pipeline
 ``compiled``       §4  generated host-language (Python) code
 ``native``         §5  generated vectorized code over arrays of structs
-``hybrid``         §6  managed staging into native buffers; the backend
-                   picks Max (stage fields) or Min (stage keys, return the
-                   source objects) from the plan
+``hybrid``         §6  managed staging into native buffers; fields are
+                   staged (Max), and an element a result returns whole
+                   crosses as its row index (Min: the source object)
 =================  ===========================================================
 
 Wrapping a collection (``QList``, :func:`from_iterable`,
@@ -153,7 +153,7 @@ class Query:
         fragment fall back to thread/sequential execution unchanged.
         """
         # the retired Min spelling, still passed by the whole-element sort
-        # cell at benchmarks/lifecycle/tpch_cells.py:67; the rule builds Min
+        # cell at benchmarks/lifecycle/tpch_cells.py:67
         engine = "hybrid" if engine == "hybrid_min" else engine
         options = ExecutionOptions(parallelism, None, adaptive, distributed, trace)
         return self._replace(

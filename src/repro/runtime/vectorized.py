@@ -587,6 +587,8 @@ _MAX_DAY = datetime.date.max.toordinal() - _EPOCH_ORDINAL
 
 def _decode_column(column: np.ndarray, kind: str) -> list:
     """Bulk-convert one native column chunk to managed values."""
+    if kind == "object":  # managed objects a hybrid row index looked up
+        return column
     if kind == "str":
         return [raw.rstrip(b"\x00").decode("utf-8") for raw in column.tolist()]
     if kind == "date":

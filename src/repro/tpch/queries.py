@@ -539,8 +539,9 @@ def sorting_micro(
 ) -> Query:
     """§7.2 / Figure 9: sort (filtered) lineitem on extendedprice.
 
-    Results are whole lineitem elements, so the only applicable hybrid
-    variant is Min (return references), exactly as in the paper.
+    Results are whole lineitem elements, so the hybrid stages the sort key
+    plus a row-index column and returns the source objects themselves —
+    the paper's Min variant (return references).
     """
     lineitem = relation_query(data, "lineitem", engine, provider)
     return (

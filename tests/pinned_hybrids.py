@@ -1,8 +1,9 @@
 """Matrix columns that pin one of the paper's hybrid policies (§6).
 
-The ``hybrid`` engine chooses Max or Min from the plan.  The buffered
-staging code and the pinned Min program are still distinct programs, so
-the engine matrices keep a column for each: the ``pinned_hybrids``
+The ``hybrid`` engine stages fields (Max) and carries whole elements as
+row indexes (Min).  Buffered staging and ``minimal=True`` (result fields
+read off the objects) emit different programs, so the engine matrices
+keep a column for each: the ``pinned_hybrids``
 fixture registers every label below as an engine name for the duration
 of one test, backed by :class:`~repro.codegen.hybrid_backend.HybridBackend`
 with that policy.  Outside a test that requests the fixture the labels

@@ -11,7 +11,7 @@ from repro.codegen.hybrid_backend import (
     _find_stream_target,
     _staging_from_ir,
 )
-from repro.codegen.ir import required_source_fields
+from repro.codegen.ir import ROW, required_source_fields
 from repro.codegen.lower import lower_plan
 from repro.codegen.mapping import (
     StagedSource,
@@ -22,6 +22,7 @@ from repro.errors import SchemaError, UnsupportedQueryError
 from repro.expressions import Var, new, trace_lambda
 from repro.plans import (
     AggregateSpec,
+    Distinct,
     Filter,
     Join,
     Project,
@@ -120,6 +121,28 @@ class TestSourceFieldUsage:
         plan = Project(SCAN, trace_lambda(lambda s: s))
         assert required_source_fields(plan)[0] is None
 
+    def test_escaping_element_is_carried_as_row(self):
+        plan = Project(SCAN, trace_lambda(lambda s: new(a=s, b=s.k)))
+        assert required_source_fields(plan, carry=True) == {0: {ROW, "k"}}
+        # an element a later operator compares stays absorbing
+        assert required_source_fields(Distinct(plan), carry=True) == {0: None}
+
+    def test_compared_element_stays_absorbing(self):
+        plan = Project(SCAN, trace_lambda(lambda s: new(same=s == s)))
+        assert required_source_fields(plan, carry=True) == {0: None}
+
+    def test_defer_ships_unread_result_fields_as_row(self):
+        plan = Sort(
+            Project(SCAN, trace_lambda(lambda s: new(a=s.a, b=s.b, c=s.c + 1))),
+            (trace_lambda(lambda r: r.b),),
+            (False,),
+        )
+        assert required_source_fields(plan, carry=True) == {0: {"a", "b", "c"}}
+        # only the sort key and the computed field are read natively
+        assert required_source_fields(plan, carry=True, defer=True) == {
+            0: {ROW, "b", "c"}
+        }
+
     def test_aggregates_contribute(self):
         plan = ScalarAggregate(
             SCAN,
@@ -137,12 +160,12 @@ class TestSplitStaging:
             Var("__agg0"),
         )
         ir = lower_plan(plan)
-        # predicate fields dropped from staging: only the aggregate's field
-        assert ir.staging_fields == {0: {"v"}}
         staged, peeled = _staging_from_ir(ir)
         assert peeled == {0: 1}
         assert len(staged[0].predicates) == 1
+        # predicate fields dropped from staging: only the aggregate's field
         assert staged[0].fields == ("v",)
+        assert not staged[0].carries
 
     def test_non_adjacent_filter_stays(self):
         plan = Filter(
@@ -154,10 +177,15 @@ class TestSplitStaging:
         assert staged[0].predicates == ()
 
     def test_whole_element_beyond_boundary_rejected(self):
-        ir = lower_plan(Project(SCAN, trace_lambda(lambda s: s)))
-        assert ir.staging_fields == {0: None}
+        # Distinct compares whole elements: no row index can stand in
+        ir = lower_plan(Distinct(SCAN))
         with pytest.raises(UnsupportedQueryError, match="whole elements"):
             _staging_from_ir(ir)
+
+    def test_escaping_element_stages_a_row_index(self):
+        ir = lower_plan(Project(SCAN, trace_lambda(lambda s: s)))
+        staged, _ = _staging_from_ir(ir)
+        assert staged[0].fields == () and staged[0].carries
 
     def test_staged_schema_from_struct_array(self):
         schema = Schema([Field("a", "int"), Field("b", "float")], name="T")
@@ -350,9 +378,8 @@ class TestMinVariantShapes:
 
 
 class TestMinJoinKinds:
-    def test_direct_min_left_join_compile_is_refused(self):
-        # the Min program reports matching pairs only: compiled as an
-        # inner join this query would drop the two unmatched probe rows
+    def test_direct_min_left_join_keeps_unmatched_rows(self):
+        # an inner-join program would drop the two unmatched probe rows
         from repro.plans import optimize, translate
         from repro.query import from_iterable
 
@@ -365,15 +392,16 @@ class TestMinJoinKinds:
             lambda p, b: new(k=p.k, w=b.w),
             {"k": 0, "w": 0.0},
         )
-        assert len(query.using("linq").to_list()) == 3
+        expected = query.using("linq").to_list()
+        assert len(expected) == 3
         plan = optimize(translate(query.expr))
-        with pytest.raises(UnsupportedQueryError, match="inner joins"):
-            HybridBackend(minimal=True).compile(plan, list(query.sources))
+        compiled = HybridBackend(minimal=True).compile(plan, list(query.sources))
+        assert list(compiled.execute(list(query.sources), {})) == expected
 
 
 class TestMinMaxRule:
-    """`hybrid` picks Max unless whole elements cross the staging boundary,
-    where Min builds the plans it supports and Max's refusal stands."""
+    """`hybrid` stages fields (Max); a whole element that escapes crosses
+    as its row index, and the result holds the source object (Min)."""
 
     ITEMS = [item(a=i % 4, b=float(20 - i)) for i in range(20)]
     OTHER = [item(a=k, w=k * 10) for k in range(4)]
@@ -387,12 +415,16 @@ class TestMinMaxRule:
         compiled = build(base.using("compiled", provider))
         return hybrid, compiled
 
+    @staticmethod
+    def _source(query):
+        shape = query.provider.shape(query.expr, list(query.sources))
+        return shape.compiled("hybrid").source_code
+
     def _assert_min_original_objects(self, build):
         hybrid, compiled = self._pair(build)
         rows = hybrid.to_list()
         assert rows == compiled.to_list()
-        shape = hybrid.provider.shape(hybrid.expr, list(hybrid.sources))
-        assert shape.compiled("hybrid").minimal
+        assert "_gather_objects(" in self._source(hybrid)
         return rows
 
     def test_whole_element_sort(self):
@@ -423,8 +455,7 @@ class TestMinMaxRule:
             lambda q: q.order_by(lambda r: r.b).select(lambda r: r.a)
         )
         assert hybrid.to_list() == compiled.to_list()
-        shape = hybrid.provider.shape(hybrid.expr, list(hybrid.sources))
-        assert not shape.compiled("hybrid").minimal
+        assert "_np.arange" not in self._source(hybrid)
 
     def test_retired_min_spelling_shares_the_artifact(self):
         from repro.observability import METRICS
@@ -448,12 +479,136 @@ class TestMinMaxRule:
             "hybrid",
         )
 
-    def test_explain_names_min_without_max_placements(self):
+    def test_explain_shows_placements_for_whole_elements(self):
         hybrid, _ = self._pair(lambda q: q.order_by(lambda r: r.b))
         text = hybrid.in_parallel(1).explain()
-        engine_line = text.splitlines()[2]
-        assert engine_line.startswith("engine: hybrid (Min:")
-        assert "managed staging" not in text
+        assert text.splitlines()[2] == "engine: hybrid"
+        assert "  p0: scan(source_0) => sort#0" in text
+        assert "[managed staging -> native]" in text
+        assert "  p1: sort#0 => result [native]" in text
+
+
+def _types(value):
+    """The value's type, and its fields' types for a record."""
+    if isinstance(value, tuple):
+        return (type(value),) + tuple(_types(v) for v in value)
+    return type(value)
+
+
+#: whole source elements escaping the native half; each builder takes the
+#: probe-side and build-side queries
+WHOLE_ELEMENT_SHAPES = {
+    "sort": lambda q, o: q.order_by(lambda r: r.b),
+    "topn": lambda q, o: q.order_by_desc(lambda r: r.b).take(4),
+    "limit-over-sort": lambda q, o: q.order_by(lambda r: r.a).then_by(lambda r: r.b)
+    .skip(3)
+    .take(5),
+    "inner-join": lambda q, o: q.join(
+        o, lambda l: l.a, lambda r: r.a, lambda l, r: new(l=l, r=r)
+    ),
+    "left-outer-join": lambda q, o: q.left_outer_join(
+        o.where(lambda r: r.a < 2),
+        lambda l: l.a,
+        lambda r: r.a,
+        lambda l, r: new(l=l, r=r, w=r.w),
+        {"a": -1, "w": -10},
+    ),
+    "filter-over-join": lambda q, o: q.join(
+        o, lambda l: l.a, lambda r: r.a, lambda l, r: new(l=l, w=r.w)
+    ).where(lambda x: x.w > 5),
+    "projected-element": lambda q, o: q.where(lambda r: r.a > 0).select(
+        lambda r: new(e=r, a=r.a)
+    ),
+    # no element escapes, but under minimal=True `a` is read off the object
+    "sorted-projection": lambda q, o: q.order_by(lambda r: r.b).select(
+        lambda r: new(a=r.a, b2=r.b * 2)
+    ),
+}
+
+
+class TestWholeElements:
+    """A whole element crosses as its row index: results equal linq's,
+    with linq's types, and hold the source objects themselves."""
+
+    ITEMS = [item(a=i % 4, b=float(20 - i)) for i in range(20)]
+    OTHER = [item(a=k, w=k * 10) for k in range(3)]
+
+    def _queries(self, build, engine):
+        from repro.query import QueryProvider, from_iterable
+
+        provider = QueryProvider()
+        probe = from_iterable(self.ITEMS, token="whole:probe")
+        build_side = from_iterable(self.OTHER, token="whole:build")
+        return build(probe.using(engine, provider), build_side)
+
+    @pytest.mark.parametrize("name", sorted(WHOLE_ELEMENT_SHAPES))
+    @pytest.mark.parametrize("minimal", (False, True), ids=("max", "min"))
+    def test_equals_linq_and_returns_the_source_objects(self, name, minimal):
+        build = WHOLE_ELEMENT_SHAPES[name]
+        query = self._queries(build, "hybrid")
+        rows = _pinned_rows(query, HybridBackend(minimal=minimal))
+        expected = self._queries(build, "linq").to_list()
+        assert rows == expected
+        assert [_types(r) for r in rows] == [_types(r) for r in expected]
+        if minimal:
+            assert rows == query.to_list()  # the engine's own build agrees
+        originals = {id(o) for o in self.ITEMS + self.OTHER}
+        defaults = 0
+        for row in rows:
+            if isinstance(row, SimpleNamespace):
+                elements = [row]
+            else:
+                elements = [v for v in row if not isinstance(v, (int, float))]
+            for element in elements:
+                if id(element) not in originals:
+                    # an unmatched probe row pairs with the default record
+                    assert name == "left-outer-join" and element == (-1, -10)
+                    defaults += 1
+        assert defaults == (10 if name == "left-outer-join" else 0)
+
+    @pytest.mark.parametrize(
+        "build",
+        (
+            lambda q, o: q.distinct(),
+            lambda q, o: q.union(q.where(lambda r: r.a > 1)),
+            lambda q, o: q.select(lambda r: new(e=r)).distinct(),
+            lambda q, o: q.order_by(lambda r: r),
+            lambda q, o: q.join(
+                o, lambda l: l.a, lambda r: r.a, lambda l, r: new(l=l, w=r.w)
+            ).where(lambda x: x.l.b > x.w),
+            # indexes into two object lists cannot share one column
+            lambda q, o: q.concat(q.where(lambda r: r.a > 1)),
+            # no default stands in for an element carried in a column
+            lambda q, o: q.left_outer_join(
+                o.select(lambda r: new(e=r, a=r.a)),
+                lambda l: l.a,
+                lambda r: r.a,
+                lambda l, r: new(x=r.e, b=l.b),
+                {"e": 0, "a": 0},
+            ),
+        ),
+        ids=(
+            "distinct",
+            "union",
+            "distinct-projection",
+            "element-key",
+            "read-through",
+            "concat",
+            "left-join-default",
+        ),
+    )
+    def test_uncarried_elements_refuse(self, build):
+        query = self._queries(build, "hybrid")
+        with pytest.raises(UnsupportedQueryError, match="whole elements of source_"):
+            query.to_list()
+
+    def test_morsel_kernels_refuse(self):
+        from repro.plans import optimize, translate
+
+        query = self._queries(WHOLE_ELEMENT_SHAPES["sort"], "hybrid")
+        plan = optimize(translate(query.expr))
+        with pytest.raises(UnsupportedQueryError, match="stage row indexes"):
+            HybridBackend().compile(plan, list(query.sources), morsel_ordinal=0)
 
 
 class TestPinnedPolicies:
@@ -501,7 +656,7 @@ class TestPinnedPolicies:
         self._close(rows, expected)
 
     @pytest.mark.parametrize("name", ("q1", "q3", "q4"))
-    def test_min_refuses_aggregations(self, data, name):
-        query = self._queries(data)[name]("hybrid")
-        with pytest.raises(UnsupportedQueryError, match="Min staging"):
-            _pinned_rows(query, HybridBackend(minimal=True))
+    def test_min_aggregations_equal_linq(self, data, name):
+        build = self._queries(data)[name]
+        rows = _pinned_rows(build("hybrid"), HybridBackend(minimal=True))
+        self._close(rows, build("linq").to_list())

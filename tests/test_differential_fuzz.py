@@ -2,7 +2,8 @@
 
 A seeded random query generator draws shapes over the expression builder
 (filters, projections, inner/outer/semi/anti joins, bag-semantics set
-operations, group-by + aggregates, sort, take, distinct, scalar terminals)
+operations, group-by + aggregates, sort, take, distinct, scalar terminals,
+whole source elements returned or embedded in results)
 and executes each query on all four compiled engines and
 every parallelism / morsel-size combination, asserting **exact** agreement
 with the interpreted ``linq`` baseline.  Seeds are deterministic, so a CI
@@ -402,6 +403,52 @@ def _shape_setop(rng):
     return apply
 
 
+def _shape_whole_elements(rng):
+    """Whole source elements escape: returned after a sort, a top-N or a
+    sorted limit, or embedded in inner / left outer join results, also
+    under a filter over the join's projection.  The hybrid carries each
+    as its row index and hands back the source objects themselves."""
+    mode = rng.randrange(6)
+    c = rng.randrange(0, 6)
+    x = _exact_float(rng)
+    n = rng.randrange(1, 40)
+    sentinel = rng.randrange(-9, -1)
+
+    def apply(outer, inner):
+        q = outer.where(lambda r: r.g >= c)
+        if mode == 0:
+            return q.order_by(lambda r: r.v).then_by(lambda r: r.id), None
+        if mode == 1:
+            return q.order_by_desc(lambda r: r.v).then_by(lambda r: r.id).take(n), None
+        if mode == 2:
+            q = q.order_by(lambda r: r.s).then_by(lambda r: r.id)
+            return q.skip(n).take(7), None
+        if mode == 3:
+            return (
+                q.join(inner, lambda r: r.g, lambda b: b.k, lambda r, b: new(r=r, b=b)),
+                None,
+            )
+        if mode == 4:
+            return (
+                q.left_outer_join(
+                    inner.where(lambda b: b.w < x),
+                    lambda r: r.g,
+                    lambda b: b.k,
+                    lambda r, b: new(r=r, b=b, w=b.w),
+                    default={"k": sentinel, "w": -0.25, "t": "zz"},
+                ),
+                None,
+            )
+        return (
+            q.join(inner, lambda r: r.g, lambda b: b.k, lambda r, b: new(r=r, w=b.w))
+            .where(lambda p: p.w > x)
+            .select(lambda p: new(e=p.r, w=p.w)),
+            None,
+        )
+
+    return apply
+
+
 SHAPES = (
     _shape_filter,
     _shape_join,
@@ -416,6 +463,7 @@ SHAPES = (
     _shape_outer_join,
     _shape_semi_anti,
     _shape_setop,
+    _shape_whole_elements,
 )
 
 

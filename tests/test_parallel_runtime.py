@@ -345,7 +345,7 @@ class TestFallbacks:
         assert list(q.in_parallel(4, 3)) == list(q)
 
     def test_hybrid_min_runs_sequentially(self):
-        # a whole-element sort builds with Min, which emits no morsel
+        # a whole-element sort stages row indexes, which emit no morsel
         # kernels: the threads tier refuses it and names why
         rows = _rows(30)
         array = StructArray.from_rows(SCHEMA, rows)
@@ -360,7 +360,8 @@ class TestFallbacks:
         tier = PROVIDER.tier(shape, "hybrid", shape.bindings, options)
         assert tier.kind == "inline"
         assert tier.reason == (
-            "the minimal hybrid engines do not emit morsel-parameterized kernels"
+            "the hybrid engine emits no morsel-parameterized kernels for plans "
+            "that stage row indexes (their staging loop is generated Python)"
         )
 
     def test_join_falls_back_but_stays_correct(self):

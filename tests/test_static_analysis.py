@@ -586,9 +586,7 @@ _OUTSIDE_FRAGMENT = (
 )
 
 #: one query per engine restriction, with the exact refusal text users
-#: see — the provider passes on the compiling backend's own.  The "min"
-#: cases pin Min result construction, which no engine name selects, so
-#: they compile through Shape.compile_with(HybridBackend(minimal=True))
+#: see — the provider passes on the compiling backend's own
 REFUSALS = {
     "native-object-list": (
         "native",
@@ -631,7 +629,8 @@ REFUSALS = {
     ),
     "hybrid-whole-element": (
         "hybrid",
-        lambda p: _objects("hybrid", p).select(lambda r: new(a=r, b=r.k)),
+        # distinct compares the embedded element: no row index stands in
+        lambda p: _objects("hybrid", p).select(lambda r: new(a=r, b=r.k)).distinct(),
         "the query uses whole elements of source_0 beyond the staging "
         "boundary; the hybrid engine requires flat field access (use the "
         "compiled engine)",
@@ -640,33 +639,6 @@ REFUSALS = {
         "hybrid",
         lambda p: _objects("hybrid", p).group_by(lambda s: s.k),
         _OUTSIDE_FRAGMENT.format("GroupBy"),
-    ),
-    "min-group-by": (
-        "min",
-        lambda p: _array("hybrid", p).group_by(
-            lambda s: s.k, lambda g: new(k=g.key, n=g.count())
-        ),
-        "Min staging only supports a single sort/top-N or inner join as the "
-        "native operation (the paper's §7.4 restriction); use the Max "
-        "variant for complex queries",
-    ),
-    "min-filter-over-projection": (
-        "min",
-        _filter_over_projection,
-        "Min staging only supports (filtered) scans and joins below the "
-        "native operator",
-    ),
-    "min-left-outer-join": (
-        "min",
-        lambda p: _objects("hybrid", p).left_outer_join(
-            _objects("hybrid", p, token="t:inner"),
-            lambda a: a.k,
-            lambda b: b.k,
-            lambda a, b: new(k=a.k, v=b.v),
-            {"k": 0, "v": 0.0},
-        ),
-        "Min staging only supports inner joins, not left joins; use the Max "
-        "variant",
     ),
 }
 
@@ -681,16 +653,41 @@ class TestCapabilityReports:
             q.to_list()
 
     def test_min_staging_shape_rejected(self):
-        q = (
-            from_struct_array(make_array())
-            .using("hybrid")
-            .group_by(lambda s: s.k, lambda g: new(k=g.key, n=g.count()))
-        )
+        # minimal staging rejects what Max rejects: an element an operator
+        # compares (here distinct) cannot cross as its row index
+        q = from_iterable([Obj(1, "aa", 1.5)], token="t:min").using("hybrid").distinct()
         shape = q.provider.shape(q.expr, list(q.sources))
-        with pytest.raises(UnsupportedQueryError, match="Min staging"):
+        with pytest.raises(UnsupportedQueryError) as pinned:
             shape.compile_with(HybridBackend(minimal=True))
-        # the hybrid engine's own rule builds this aggregation with Max
-        assert not shape.compiled("hybrid").minimal
+        with pytest.raises(UnsupportedQueryError) as rule:
+            q.to_list()
+        assert str(pinned.value) == str(rule.value)
+        assert "whole elements of source_0" in str(rule.value)
+
+    @pytest.mark.parametrize(
+        "build",
+        (
+            lambda p: _array("hybrid", p).group_by(
+                lambda s: s.k, lambda g: new(k=g.key, n=g.count())
+            ),
+            _filter_over_projection,
+            lambda p: _objects("hybrid", p).left_outer_join(
+                _objects("hybrid", p, token="t:inner"),
+                lambda a: a.k,
+                lambda b: b.k,
+                lambda a, b: new(k=a.k, v=b.v),
+                {"k": 0, "v": 0.0},
+            ),
+        ),
+        ids=("group-by", "filter-over-projection", "left-outer-join"),
+    )
+    def test_min_builds_the_plans_it_refused(self, build):
+        provider = QueryProvider()
+        q = build(provider)
+        shape = provider.shape(q.expr, list(q.sources))
+        compiled = shape.compile_with(HybridBackend(minimal=True))
+        rows = list(compiled.execute(shape.sources, shape.bindings))
+        assert rows == q.using("linq", provider).to_list()
 
     @pytest.mark.parametrize(
         "engine, build, message",
@@ -701,16 +698,9 @@ class TestCapabilityReports:
         q = build(provider)
         sources = list(q.sources)
         shape = provider.shape(q.expr, sources)
-        backend = (
-            NativeBackend()
-            if engine == "native"
-            else HybridBackend(minimal=engine == "min")
-        )
+        backend = NativeBackend() if engine == "native" else HybridBackend()
         with pytest.raises(UnsupportedQueryError) as through_provider:
-            if engine == "min":
-                shape.compile_with(backend)
-            else:
-                q.to_list()
+            q.to_list()
         with pytest.raises(UnsupportedQueryError) as direct:
             backend.compile(shape.plan(), sources)
         assert type(through_provider.value) is UnsupportedQueryError

@@ -240,7 +240,7 @@ class TestMicros:
         assert got == exp
 
     # "hybrid_min" is the retired spelling Query.using still maps to
-    # "hybrid", whose rule builds this whole-element sort with Min
+    # "hybrid", which stages this whole-element sort's row indexes
     @pytest.mark.parametrize("engine", ("compiled", "native", "hybrid_min"))
     def test_sorting_micro_consistent(self, data, provider, engine):
         got = [r.l_extendedprice for r in sorting_micro(data, engine, 0.3, provider)]

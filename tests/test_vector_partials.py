@@ -168,7 +168,7 @@ def _query(engine, shape, provider):
     return SHAPES[shape](from_struct_array(ARR).using(engine, provider))
 
 
-#: hybrid answers a whole-row result with Min, which emits no morsels
+#: a whole-row hybrid result stages row indexes, which emit no morsels
 @pytest.mark.parametrize(
     "engine, shape",
     [("native", shape) for shape in SHAPES]
