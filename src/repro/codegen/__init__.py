@@ -1,6 +1,5 @@
 """Code generation backends: host-language (§4), native (§5), hybrid (§6)."""
 
 from .compiler import CompiledQuery, compile_source
-from .source import NameAllocator, SourceWriter
 
-__all__ = ["CompiledQuery", "compile_source", "SourceWriter", "NameAllocator"]
+__all__ = ["CompiledQuery", "compile_source"]

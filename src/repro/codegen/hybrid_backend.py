@@ -49,10 +49,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..analysis import analyze_ir
 from ..errors import SchemaError, UnsupportedQueryError
-from ..observability.tracer import TRACER
-from ..options import env
 from ..expressions.nodes import Expr, Lambda, Member, New, Var
 from ..expressions.visitor import substitute
 from ..plans.logical import (
@@ -66,13 +63,10 @@ from ..plans.logical import (
     ScalarAggregate,
     plan_children,
 )
-from ..runtime.parallel import MORSEL_START as _MORSEL_START
-from ..runtime.parallel import MORSEL_STOP as _MORSEL_STOP
 from ..runtime.parallel import morsel_slice
 from ..runtime.streaming import StreamingGroupAggregator, StreamingJoinProbe
 from ..storage.buffers import DEFAULT_PAGE_BYTES
 from ..storage.schema import date_to_days
-from .compiler import CompiledQuery, compile_source, timed
 from .ir import (
     ROW,
     Pipeline,
@@ -82,7 +76,6 @@ from .ir import (
     required_source_fields,
     strip_scan_filters,
 )
-from .lower import lower_plan
 from .mapping import StagedSource, staged_schema_for
 from .native_backend import (
     ColumnRef,
@@ -91,7 +84,7 @@ from .native_backend import (
     _outside_fragment,
     _VectorEmitter,
 )
-from .python_backend import _CodeVarPrinter
+from .source import Backend
 
 __all__ = ["HybridBackend"]
 
@@ -107,7 +100,7 @@ def _enc_str(value: str, width: int) -> bytes:
     return encoded
 
 
-class HybridBackend:
+class HybridBackend(Backend):
     """Compiles a plan into staged-managed + vectorized-native code."""
 
     name = "hybrid"
@@ -122,39 +115,18 @@ class HybridBackend:
         self.minimal = minimal
         self.page_bytes = page_bytes
 
-    def compile(
-        self,
-        plan: Plan,
-        sources: Sequence[Any],
-        morsel_ordinal: Optional[int] = None,
-        ir: Optional[QueryIR] = None,
-    ) -> CompiledQuery:
-        with TRACER.span("codegen.generate", engine=self.name), timed() as gen_time:
-            if ir is None:
-                ir = lower_plan(plan, morsel_ordinal=morsel_ordinal)
-            if ir.facts is None:
-                ir.facts = analyze_ir(ir)
-            staged, peeled = _staging_from_ir(ir, defer=self.minimal)
-            if morsel_ordinal is not None and any(s.carries for s in staged.values()):
-                raise UnsupportedQueryError(
-                    "the hybrid engine emits no morsel-parameterized kernels for "
-                    "plans that stage row indexes (their staging loop is "
-                    "generated Python)"
-                )
-            for ordinal, spec in staged.items():
-                if spec.fields:  # field-less sources only stage a count
-                    spec.schema = staged_schema_for(sources[ordinal], spec)
-            emitter = _HybridEmitter(staged, peeled, self.buffered, self.page_bytes, ir)
-            source_code, namespace, scalar = emitter.emit_module()
-        entry, compile_seconds = compile_source(source_code, namespace)
-        return CompiledQuery(
-            source_code=source_code,
-            fn=entry,
-            engine=self.name,
-            codegen_seconds=gen_time.seconds,
-            compile_seconds=compile_seconds,
-            scalar=scalar,
-        )
+    def emitter(self, ir: QueryIR, sources: Sequence[Any]) -> "_HybridEmitter":
+        staged, peeled = _staging_from_ir(ir, defer=self.minimal)
+        if ir.morsel_ordinal is not None and any(s.carries for s in staged.values()):
+            raise UnsupportedQueryError(
+                "the hybrid engine emits no morsel-parameterized kernels for "
+                "plans that stage row indexes (their staging loop is "
+                "generated Python)"
+            )
+        for ordinal, spec in staged.items():
+            if spec.fields:  # field-less sources only stage a count
+                spec.schema = staged_schema_for(sources[ordinal], spec)
+        return _HybridEmitter(ir, staged, peeled, self.buffered, self.page_bytes)
 
 
 def _whole_elements(ordinal: int) -> UnsupportedQueryError:
@@ -269,19 +241,25 @@ class _HybridEmitter(_VectorEmitter):
 
     printer_type = _StagedPrinter
 
+    RUNTIME: Dict[str, Any] = dict(
+        _VectorEmitter.RUNTIME,
+        _StreamingGroupAggregator=StreamingGroupAggregator,
+        _StreamingJoinProbe=StreamingJoinProbe,
+        _enc_str=_enc_str,
+        _to_days=date_to_days,
+        _morsel_slice=morsel_slice,
+    )
+
     def __init__(
         self,
+        ir: QueryIR,
         staged: Dict[int, StagedSource],
         peeled: Dict[int, int],
         buffered: bool,
         page_bytes: int,
-        ir: QueryIR,
     ):
         schemas = {ordinal: spec.schema for ordinal, spec in staged.items()}
-        super().__init__(schemas, exemplars=(), ir=ir)
-        # group counts are >= 1 by construction, so the facts pass always
-        # licenses dropping the divide-clamp in streamed group averages
-        self._elide_avg_guards = ir.facts is not None and env("REPRO_GUARD_ELISION")
+        super().__init__(ir, schemas)
         self._staged = staged
         self._peeled = peeled
         self._buffered = buffered
@@ -292,19 +270,6 @@ class _HybridEmitter(_VectorEmitter):
         self._kept: Dict[int, Tuple[str, str]] = {}
         self._stream_node: Optional[Plan] = None
         self._stream_ordinal: Optional[int] = None
-
-    # -- module assembly --------------------------------------------------------
-
-    def emit_module(self) -> Tuple[str, Dict[str, Any], bool]:
-        source, namespace, scalar = super().emit_module()
-        namespace.update(
-            _StreamingGroupAggregator=StreamingGroupAggregator,
-            _StreamingJoinProbe=StreamingJoinProbe,
-            _enc_str=_enc_str,
-            _to_days=date_to_days,
-            _morsel_slice=morsel_slice,
-        )
-        return source, namespace, scalar
 
     def _emit_body(self) -> None:
         if self._buffered and not any(s.carries for s in self._staged.values()):
@@ -317,23 +282,7 @@ class _HybridEmitter(_VectorEmitter):
             self._emit_full_staging(spec)
         super()._emit_body()
 
-    def _staging_source(self, ordinal: int) -> str:
-        """The managed iterable staging reads: morsel-sliced on the driver."""
-        source = f"sources[{ordinal}]"
-        if ordinal == self._morsel_ordinal:
-            lo = self._render_param(_MORSEL_START)
-            hi = self._render_param(_MORSEL_STOP)
-            source = f"_morsel_slice({source}, {lo}, {hi})"
-        return source
-
     # -- staging ---------------------------------------------------------------
-
-    def _python_printer(self) -> _CodeVarPrinter:
-        printer = _CodeVarPrinter(param_render=self._render_param)
-        printer.namespace = self.namespace
-        # staging predicates share the query's division-proof verdict
-        printer.guard_divisions = not self._elide_division_guards
-        return printer
 
     def _staging_predicate(
         self, spec: StagedSource, elem: str
@@ -346,7 +295,7 @@ class _HybridEmitter(_VectorEmitter):
         """
         if not spec.predicates:
             return None
-        printer = self._python_printer()
+        printer = self.scalar_printer()
         lines: List[str] = []
         parts: List[str] = []
         for predicate in spec.predicates:
@@ -375,7 +324,9 @@ class _HybridEmitter(_VectorEmitter):
     ) -> None:
         """The managed loop over one source: the peeled predicate (and its
         CSE bindings), then *emit_stage* for each kept element."""
-        with self.writer.block(f"for {elem} in {self._staging_source(spec.ordinal)}:"):
+        morsel = spec.ordinal == self.ir.morsel_ordinal
+        source = self.morsel_source(spec.ordinal, morsel)
+        with self.writer.block(f"for {elem} in {source}:"):
             if predicate:
                 lines, test = predicate
                 self.writer.lines(lines)
@@ -388,12 +339,12 @@ class _HybridEmitter(_VectorEmitter):
         """Stage one source completely into one array (§6.1.1)."""
         # staging precedes every pipeline (and can dominate the runtime),
         # so it gets its own cancellation checkpoint
-        self.writer.line("_cancel_check(_params)")
+        self.cancel_point()
         elem = self.names.fresh("elem")
         predicate = self._staging_predicate(spec, elem)
         stage: List[str] = []  # the statements run per kept element
         if spec.fields:
-            dtype_var = self._bind(spec.schema.numpy_dtype(), "dtype")
+            dtype_var = self.bind(spec.schema.numpy_dtype(), "dtype")
             rows = self.names.fresh("rows")
             append = self.names.fresh("append")
             self.writer.line(f"{rows} = []")
@@ -434,7 +385,7 @@ class _HybridEmitter(_VectorEmitter):
         triggers the bulk copy to native memory plus the consumer call, so
         the staging footprint stays fixed at one page.
         """
-        dtype_var = self._bind(spec.schema.numpy_dtype(), "dtype")
+        dtype_var = self.bind(spec.schema.numpy_dtype(), "dtype")
         capacity = max(1, self._page_bytes // spec.schema.struct_size())
         page = self.names.fresh("page")
         append = self.names.fresh("append")
@@ -562,7 +513,7 @@ class _HybridEmitter(_VectorEmitter):
             objs, _ = self._kept[_row_ref(right.columns[ROW].kind)[0]]
             codes[ROW] = self.names.fresh("dflt")
             self.writer.line(f"{codes[ROW]} = len({objs})")
-            default = self._python_printer().emit(op.default)
+            default = self.scalar_printer().emit(op.default)
             self.writer.line(f"{objs}.append({default})")
         return codes
 
@@ -663,7 +614,7 @@ class _HybridEmitter(_VectorEmitter):
         env: Dict[str, Tuple[Frame, Optional[str]]] = {"__key": (key_frame, None)}
         for i, (mode, a, b) in enumerate(extract):
             if mode == "avg":
-                if self._elide_avg_guards:
+                if self.elide.avg:
                     code = f"({gaggs}[{a}] / {gaggs}[{b}])"
                 else:
                     code = f"({gaggs}[{a}] / _np.maximum({gaggs}[{b}], 1))"

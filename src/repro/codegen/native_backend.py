@@ -35,10 +35,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..analysis import analyze_ir
 from ..errors import ExecutionError, UnsupportedQueryError
-from ..observability.tracer import TRACER
-from ..options import env
 from ..runtime.guards import ensure_nonzero_array
 from ..expressions.analysis import conjuncts
 from ..expressions.nodes import (
@@ -75,11 +72,8 @@ from ..plans.logical import (
 )
 from ..runtime import vectorized as _vec
 from ..runtime.cancellation import cancel_check
-from ..runtime.parallel import MORSEL_START as _MORSEL_START
-from ..runtime.parallel import MORSEL_STOP as _MORSEL_STOP
 from ..storage.schema import Schema, date_to_days, days_to_date
 from ..storage.struct_array import StructArray
-from .compiler import CompiledQuery, compile_source, timed
 from .ir import (
     Pipeline,
     PipelineBreaker,
@@ -89,8 +83,7 @@ from .ir import (
     merge_fields,
     paths_to_fields,
 )
-from .lower import lower_plan
-from .source import NameAllocator, SourceWriter
+from .source import Backend, EmitState
 
 __all__ = ["NativeBackend", "VectorPrinter", "ColumnRef", "Frame", "schema_for_sources"]
 
@@ -377,57 +370,50 @@ def _encode_constant(value: Any, target_kind: str) -> Any:
     return value
 
 
-class NativeBackend:
+class NativeBackend(Backend):
     """Lowers the pipeline IR into vectorized NumPy source."""
 
     name = "native"
 
-    def compile(
-        self,
-        plan: Plan,
-        sources: Sequence[Any],
-        morsel_ordinal: Optional[int] = None,
-        ir: Optional[QueryIR] = None,
-    ) -> CompiledQuery:
-        schemas = schema_for_sources(sources)
-        with TRACER.span("codegen.generate", engine=self.name):
-            with timed() as gen_time:
-                if ir is None:
-                    ir = lower_plan(plan, morsel_ordinal=morsel_ordinal)
-                if ir.facts is None:
-                    ir.facts = analyze_ir(ir)
-                emitter = _VectorEmitter(schemas, exemplars=sources, ir=ir)
-                source_code, namespace, scalar = emitter.emit_module()
-        entry, compile_seconds = compile_source(source_code, namespace)
-        return CompiledQuery(
-            source_code=source_code,
-            fn=entry,
-            engine=self.name,
-            codegen_seconds=gen_time.seconds,
-            compile_seconds=compile_seconds,
-            scalar=scalar,
-        )
+    def emitter(self, ir: QueryIR, sources: Sequence[Any]) -> "_VectorEmitter":
+        return _VectorEmitter(ir, schema_for_sources(sources), exemplars=sources)
 
 
-class _VectorEmitter:
+def _empty_aggregate_error():
+    return ExecutionError("aggregate of an empty sequence has no value")
+
+
+class _VectorEmitter(EmitState):
     """Walks the IR pipelines in schedule order, one frame sequence each."""
 
     printer_type = VectorPrinter
 
-    def __init__(
-        self,
-        schemas,
-        exemplars: Sequence[Any] = (),
-        ir: Optional[QueryIR] = None,
-    ):
+    #: runtime helpers every vector module's namespace binds
+    RUNTIME: Dict[str, Any] = dict(
+        _np=np,
+        _group_aggregate=_vec.group_aggregate,
+        _hash_join=_vec.hash_join_indexes,
+        _left_join=_vec.left_join_indexes,
+        _semi_mask=_vec.semi_join_mask,
+        _gather_defaulted=_vec.gather_defaulted,
+        _multiset_mask=_vec.multiset_mask,
+        _sort_indexes=_vec.sort_indexes,
+        _topn_indexes=_vec.topn_indexes,
+        _distinct_indexes=_vec.distinct_indexes,
+        _decode_rows=_vec.decode_rows,
+        _decode_values=_vec.decode_values,
+        _view_rows=_vec.view_rows,
+        _coerce_str=_vec.coerce_str,
+        _coerce_date=_vec.coerce_date,
+        _EmptyAggregateError=_empty_aggregate_error,
+        _days_to_date=days_to_date,
+        _cancel_check=cancel_check,
+    )
+
+    def __init__(self, ir: QueryIR, schemas, exemplars: Sequence[Any] = ()):
+        super().__init__(ir)
         self._schemas = schemas
         self._exemplars = exemplars
-        self.ir = ir
-        self._morsel_ordinal = ir.morsel_ordinal if ir is not None else None
-        self.names = NameAllocator()
-        self.writer = SourceWriter()
-        self.namespace: Dict[str, Any] = {}
-        self._param_names: Dict[str, str] = {}
         #: breaker bid → frames fed by its producer pipelines
         self._feeds: Dict[int, List[Frame]] = {}
         #: breaker bid → materialized output frame (memoized)
@@ -435,29 +421,6 @@ class _VectorEmitter:
         #: frames of terminal (sink-less) pipelines, concatenated at the end
         self._terminal_frames: List[Frame] = []
         self._demand_cache: Dict[int, List[Optional[Set[str]]]] = {}
-        facts = ir.facts if ir is not None else None
-        self._elide_division_guards = (
-            facts is not None
-            and facts.division_sites > 0
-            and facts.all_divisions_proven
-            and env("REPRO_GUARD_ELISION")
-        )
-
-    # -- module assembly ----------------------------------------------------------
-
-    def emit_module(self) -> Tuple[str, Dict[str, Any], bool]:
-        body = SourceWriter()
-        self.writer = body
-        self._emit_body()
-        header = SourceWriter()
-        header.line(f'"""Query code generated by {type(self).__module__}."""')
-        header.line()
-        with header.block("def execute(sources, _params):"):
-            for param_name, code_name in self._param_names.items():
-                header.line(f"{code_name} = _params[{param_name!r}]")
-            for line in body.text().splitlines():
-                header.line(line) if line.strip() else header.line()
-        return header.text(), {**self.namespace, **_RUNTIME}, self.ir.scalar
 
     def _emit_body(self) -> None:
         for pipeline in self.ir.pipelines:
@@ -469,26 +432,8 @@ class _VectorEmitter:
             whole_rows = _preserves_rows(self.ir.plan)
             self.writer.line(f"return {self._emit_result(frame, whole_rows)}")
 
-    def _render_param(self, name: str) -> str:
-        code_name = self._param_names.get(name)
-        if code_name is None:
-            sanitized = "".join(c if c.isalnum() else "_" for c in name)
-            code_name = f"_param_{sanitized}"
-            self._param_names[name] = code_name
-        return code_name
-
     def _printer(self, env: Dict[str, Tuple[Frame, Optional[str]]]) -> VectorPrinter:
-        printer = self.printer_type(env, self._render_param, self.namespace)
-        printer.guard_divisions = not self._elide_division_guards
-        return printer
-
-    def _bind(self, obj: Any, hint: str) -> str:
-        for name, existing in self.namespace.items():
-            if existing is obj:
-                return name
-        name = f"_rt_{hint}_{len(self.namespace)}"
-        self.namespace[name] = obj
-        return name
+        return self.scalar_printer(self.printer_type, env)
 
     # -- frame helpers -------------------------------------------------------------
 
@@ -622,9 +567,7 @@ class _VectorEmitter:
     def _emit_pipeline(self, pipeline: Pipeline) -> None:
         if self._skip_pipeline(pipeline):
             return
-        self.writer.line(f"# pipeline p{pipeline.pid}: {pipeline.describe()}")
-        if pipeline.cancel_checkpoint:
-            self.writer.line("_cancel_check(_params)")
+        self.begin_pipeline(pipeline)
         demands = self._demands(pipeline)
         start, frame = self._pipeline_head(pipeline, demands)
         for i in range(start, len(pipeline.operators)):
@@ -669,12 +612,8 @@ class _VectorEmitter:
     ) -> Frame:
         schema = self._schemas[scan.ordinal]
         src = self.names.fresh("src")
-        if pipeline.morsel_driver:
-            lo = self._render_param(_MORSEL_START)
-            hi = self._render_param(_MORSEL_STOP)
-            self.writer.line(f"{src} = sources[{scan.ordinal}].data[{lo}:{hi}]")
-        else:
-            self.writer.line(f"{src} = sources[{scan.ordinal}].data")
+        source = self.morsel_source(scan.ordinal, pipeline.morsel_driver, data=True)
+        self.writer.line(f"{src} = {source}")
         columns = {
             f.name: ColumnRef(f"{src}[{f.name!r}]", f.kind)
             for f in schema.fields
@@ -975,7 +914,7 @@ class _VectorEmitter:
         src = self.names.fresh("src")
         self.writer.line(f"{src} = sources[{scan.ordinal}].data")
         if isinstance(value_expr, Param):
-            value_code = self._render_param(value_expr.name)
+            value_code = self.render_param(value_expr.name)
             if field_kind == "str":
                 value_code = f"_coerce_str({value_code})"
             elif field_kind == "date":
@@ -1034,7 +973,7 @@ class _VectorEmitter:
         src = self.names.fresh("src")
         self.writer.line(f"{src} = sources[{scan.ordinal}].data")
         if isinstance(value_expr, Param):
-            value_code = self._render_param(value_expr.name)
+            value_code = self.render_param(value_expr.name)
         else:
             value_code = repr(value_expr.value)
         sel = self.names.fresh("sel")
@@ -1218,7 +1157,7 @@ class _VectorEmitter:
     # -- result delivery ---------------------------------------------------------
 
     def _emit_result(self, frame: Frame, whole_rows: bool = False) -> str:
-        if self._morsel_ordinal is not None and not isinstance(
+        if self.ir.morsel_ordinal is not None and not isinstance(
             self.ir.plan, GroupAggregate
         ):
             return self._emit_partial(frame, whole_rows)
@@ -1237,7 +1176,7 @@ class _VectorEmitter:
             )
             return f"_view_rows({{{columns}}}, {{{kinds}}}, {names!r})"
         record_type = make_record_type(names)
-        type_name = self._bind(record_type, "rowtype")
+        type_name = self.bind(record_type, "rowtype")
         cols = ", ".join(col.code for col in frame.columns.values())
         kinds = ", ".join(repr(col.kind) for col in frame.columns.values())
         return f"_decode_rows(({cols},), ({kinds},), {type_name})"
@@ -1255,7 +1194,7 @@ class _VectorEmitter:
             surface, record = "view", repr(tuple(frame.columns))
         else:
             surface = "rows"
-            record = self._bind(make_record_type(tuple(frame.columns)), "rowtype")
+            record = self.bind(make_record_type(tuple(frame.columns)), "rowtype")
         self.namespace["_vector_partial"] = _vec.VectorPartial
         return f"_vector_partial({surface!r}, ({cols},), ({kinds},), {record})"
 
@@ -1271,33 +1210,6 @@ def _preserves_rows(plan: Plan) -> bool:
     if not isinstance(plan, row_preserving):
         return False
     return all(_preserves_rows(child) for child in plan_children(plan))
-
-
-def _empty_aggregate_error():
-    return ExecutionError("aggregate of an empty sequence has no value")
-
-
-#: runtime helpers every vector module's namespace binds
-_RUNTIME: Dict[str, Any] = dict(
-    _np=np,
-    _group_aggregate=_vec.group_aggregate,
-    _hash_join=_vec.hash_join_indexes,
-    _left_join=_vec.left_join_indexes,
-    _semi_mask=_vec.semi_join_mask,
-    _gather_defaulted=_vec.gather_defaulted,
-    _multiset_mask=_vec.multiset_mask,
-    _sort_indexes=_vec.sort_indexes,
-    _topn_indexes=_vec.topn_indexes,
-    _distinct_indexes=_vec.distinct_indexes,
-    _decode_rows=_vec.decode_rows,
-    _decode_values=_vec.decode_values,
-    _view_rows=_vec.view_rows,
-    _coerce_str=_vec.coerce_str,
-    _coerce_date=_vec.coerce_date,
-    _EmptyAggregateError=_empty_aggregate_error,
-    _days_to_date=days_to_date,
-    _cancel_check=cancel_check,
-)
 
 
 def _outside_fragment(node: Plan) -> UnsupportedQueryError:

@@ -33,10 +33,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..analysis import analyze_ir
 from ..errors import CodegenError, ExecutionError
-from ..observability.tracer import TRACER
-from ..options import env
 from ..expressions.analysis import member_usage
 from ..expressions.nodes import (
     AggCall,
@@ -46,7 +43,6 @@ from ..expressions.nodes import (
     Var,
     structural_key,
 )
-from ..expressions.printer import ScalarPrinter
 from ..expressions.visitor import Transformer, collect, substitute
 from ..plans.logical import (
     Distinct,
@@ -66,15 +62,11 @@ from ..plans.logical import (
 )
 from ..runtime.cancellation import cancel_check
 from ..runtime.hashtable import Grouping
-from ..runtime.parallel import MORSEL_START as _MORSEL_START
-from ..runtime.parallel import MORSEL_STOP as _MORSEL_STOP
 from ..runtime.parallel import morsel_slice
 from ..runtime.sorting import CompositeKey, quicksort_indexes
 from ..runtime.topn import TopNHeap
-from .compiler import CompiledQuery, compile_source, timed
 from .ir import Pipeline, PipelineBreaker, QueryIR, physical_slots
-from .lower import lower_plan
-from .source import NameAllocator, SourceWriter
+from .source import Backend, EmitState, _CodeVarPrinter
 
 __all__ = ["PythonBackend"]
 
@@ -88,117 +80,46 @@ def _scalar_guard(value: Any) -> Any:
     return value
 
 
-class _CodeVarPrinter(ScalarPrinter):
-    """Printer whose Vars are already code identifiers (post-substitution)."""
-
-    def emit_var(self, expr: Var) -> str:
-        return expr.name
-
-
-class PythonBackend:
+class PythonBackend(Backend):
     """Lowers the pipeline IR into one fused-loop Python function."""
 
     name = "compiled"
 
-    def compile(
-        self,
-        plan: Plan,
-        sources: List[Any],
-        morsel_ordinal: Optional[int] = None,
-        ir: Optional[QueryIR] = None,
-    ) -> CompiledQuery:
-        with TRACER.span("codegen.generate", engine=self.name):
-            with timed() as gen_time:
-                if ir is None:
-                    ir = lower_plan(plan, morsel_ordinal=morsel_ordinal)
-                if ir.facts is None:
-                    ir.facts = analyze_ir(ir)
-                emitter = _Emitter(ir)
-                source_code, namespace, scalar = emitter.emit_module()
-        entry, compile_seconds = compile_source(source_code, namespace)
-        return CompiledQuery(
-            source_code=source_code,
-            fn=entry,
-            engine=self.name,
-            codegen_seconds=gen_time.seconds,
-            compile_seconds=compile_seconds,
-            scalar=scalar,
-        )
+    def emitter(self, ir: QueryIR, sources: List[Any]) -> "_Emitter":
+        return _Emitter(ir)
 
 
-class _Emitter:
+class _Emitter(EmitState):
+    RUNTIME: Dict[str, Any] = dict(
+        _EMPTY=(),
+        _scalar_guard=_scalar_guard,
+        _islice=itertools.islice,
+        _quicksort_indexes=quicksort_indexes,
+        _CompositeKey=CompositeKey,
+        _TopNHeap=TopNHeap,
+        _Grouping=Grouping,
+        _morsel_slice=morsel_slice,
+        _cancel_check=cancel_check,
+    )
+
     def __init__(self, ir: QueryIR) -> None:
-        self.ir = ir
-        self.names = NameAllocator()
-        self.writer = SourceWriter()
-        self.printer = _CodeVarPrinter(param_render=self._render_param)
-        self._param_names: Dict[str, str] = {}
+        super().__init__(ir)
+        self.printer = self.scalar_printer()
         #: breaker bid → names of the variables materializing its state
         self._state: Dict[int, Dict[str, Any]] = {}
-        # proof-driven guard elision (repro.analysis facts, env-gated)
-        facts = ir.facts
-        elide = facts is not None and env("REPRO_GUARD_ELISION")
-        self._elide_division_guards = (
-            elide
-            and facts.division_sites > 0
-            and facts.all_divisions_proven
-        )
-        self._elide_avg_guards = elide
-        self.printer.guard_divisions = not self._elide_division_guards
-        #: pid → reason for pipelines the analysis proved statically empty
-        self._dead: Dict[int, str] = dict(facts.dead_pipelines) if elide else {}
         #: id(Filter op) for filters whose conjuncts are all provably true
-        self._stripped_filters = set()
-        if elide:
-            for pid, index in facts.proven_filters:
-                op = ir.pipelines[pid].operators[index]
-                if isinstance(op, Filter):
-                    self._stripped_filters.add(id(op))
+        self._stripped_filters = {
+            id(ir.pipelines[pid].operators[index])
+            for pid, index in self.elide.filters
+        }
 
-    # -- entry point -------------------------------------------------------------
-
-    def emit_module(self) -> Tuple[str, Dict[str, Any], bool]:
-        body = SourceWriter()
-        saved, self.writer = self.writer, body
+    def _emit_body(self) -> None:
         for pipeline in self.ir.pipelines:
             self._emit_pipeline(pipeline)
         if self.ir.scalar:
             self._emit_scalar_final(self.ir.plan)
-        self.writer = saved
-
-        header = SourceWriter()
-        header.line('"""Query code generated by repro.codegen.python_backend."""')
-        header.line()
-        with header.block("def execute(sources, _params):"):
-            for param_name, code_name in self._param_names.items():
-                header.line(f"{code_name} = _params[{param_name!r}]")
-            for line in body.text().splitlines():
-                header.line(line) if line.strip() else header.line()
-        source = header.text()
-
-        namespace = dict(self.printer.namespace)
-        namespace.update(
-            _EMPTY=(),
-            _scalar_guard=_scalar_guard,
-            _islice=itertools.islice,
-            _quicksort_indexes=quicksort_indexes,
-            _CompositeKey=CompositeKey,
-            _TopNHeap=TopNHeap,
-            _Grouping=Grouping,
-            _morsel_slice=morsel_slice,
-            _cancel_check=cancel_check,
-        )
-        return source, namespace, self.ir.scalar
 
     # -- expression plumbing ---------------------------------------------------
-
-    def _render_param(self, name: str) -> str:
-        code_name = self._param_names.get(name)
-        if code_name is None:
-            sanitized = "".join(c if c.isalnum() else "_" for c in name)
-            code_name = f"_param_{sanitized}"
-            self._param_names[name] = code_name
-        return code_name
 
     def _inline(self, lam: Lambda, *arg_vars: str) -> Expr:
         if len(lam.params) != len(arg_vars):
@@ -229,19 +150,16 @@ class _Emitter:
     # -- pipeline emission -------------------------------------------------------
 
     def _emit_pipeline(self, pipeline: Pipeline) -> None:
-        self.writer.line(f"# pipeline p{pipeline.pid}: {pipeline.describe()}")
-        dead_reason = self._dead.get(pipeline.pid)
+        dead_reason = self.elide.dead.get(pipeline.pid)
+        self.begin_pipeline(pipeline, dead_reason)
         if dead_reason is not None:
             # statically empty: initialize the sink's state (consumers
             # reference it) but emit no scan loop at all
-            self.writer.line(f"# statically empty ({dead_reason}); scan elided")
             if pipeline.sink is None:
                 self.writer.line("yield from _EMPTY")
             else:
                 self._sink_consume(pipeline)
             return
-        if pipeline.cancel_checkpoint:
-            self.writer.line("_cancel_check(_params)")
         final = self._sink_consume(pipeline)
         ops = pipeline.operators
 
@@ -274,11 +192,7 @@ class _Emitter:
         driver = pipeline.driver
         if isinstance(driver, Scan):
             elem = self.names.fresh("elem")
-            source = f"sources[{driver.ordinal}]"
-            if pipeline.morsel_driver:
-                lo = self._render_param(_MORSEL_START)
-                hi = self._render_param(_MORSEL_STOP)
-                source = f"_morsel_slice({source}, {lo}, {hi})"
+            source = self.morsel_source(driver.ordinal, pipeline.morsel_driver)
             with self.writer.block(f"for {elem} in {source}:"):
                 consume(elem)
             return
@@ -487,7 +401,7 @@ class _Emitter:
             with self.writer.block(f"for {elem} in {group_var}:"):
                 self.writer.line(f"{total} += {value}")
                 self.writer.line(f"{count} += 1")
-            if self._elide_avg_guards:
+            if self.elide.avg:
                 # materialized groups are never empty
                 self.writer.line(f"{slot} = {total} / {count}")
             else:
@@ -555,9 +469,7 @@ class _Emitter:
                     return extract_code(extract[index], acc_var, elide_avg)
                 return super().emit_var(expr)
 
-        printer = AggVarPrinter(param_render=self._render_param)
-        printer.guard_divisions = self.printer.guard_divisions
-        printer.namespace = self.printer.namespace
+        printer = self.scalar_printer(AggVarPrinter)
         printer.tuple_defs = self.printer.tuple_defs
         printer._bound_counter = self.printer._bound_counter
         code = printer.emit(rewritten)
@@ -672,7 +584,7 @@ class _Emitter:
                 key_var,
                 acc_var,
                 state["extract"],
-                elide_avg=self._elide_avg_guards,
+                elide_avg=self.elide.avg,
             )
             self.writer.line(f"{out} = {output_code}")
             consume(out)

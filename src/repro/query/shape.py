@@ -423,12 +423,7 @@ class Shape:
             partial_ir.facts = analyze_ir(
                 partial_ir, param_values=bindings, statistics=statistics
             )
-            return backend.compile(
-                partial,
-                self.sources,
-                morsel_ordinal=split.morsel_ordinal,
-                ir=partial_ir,
-            )
+            return backend.compile(partial, self.sources, ir=partial_ir)
 
         try:
             artifact = build_parallel_query(split, compile_kernel)

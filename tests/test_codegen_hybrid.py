@@ -607,8 +607,9 @@ class TestWholeElements:
 
         query = self._queries(WHOLE_ELEMENT_SHAPES["sort"], "hybrid")
         plan = optimize(translate(query.expr))
+        ir = lower_plan(plan, morsel_ordinal=0)
         with pytest.raises(UnsupportedQueryError, match="stage row indexes"):
-            HybridBackend().compile(plan, list(query.sources), morsel_ordinal=0)
+            HybridBackend().compile(plan, list(query.sources), ir=ir)
 
 
 class TestPinnedPolicies:
