@@ -14,9 +14,11 @@ Both halves are derived from the shared pipeline IR
 scan-adjacent filters become the managed staging predicates, its staging
 layout comes from the shared required-fields pass, and the rest of the
 pipeline chain lowers through the same frame/kernel emitter as the native
-backend.  Each pipeline thus has a *placement*: scan-driven pipelines
-start managed (staging) and finish native; breaker-driven pipelines are
-fully native.
+backend.  That emitter is an :class:`~repro.codegen.source.EmitState`, so
+the staging loop's printer, params and elision verdicts are the module's
+own; this module adds staging code and the helpers of its ``RUNTIME``.
+Each pipeline thus has a *placement*: scan-driven pipelines start managed
+(staging) and finish native; breaker-driven pipelines are fully native.
 
 Materialization policy (paper §6.1):
 
@@ -35,11 +37,13 @@ embedded in a join or projection result.  Such a source also lists its
 kept objects managed-side, and each element crosses as its row index
 (:data:`~repro.codegen.ir.ROW`), one more column the native half carries
 through filters, joins, sorts, top-N and limits; delivery looks the
-objects back up, so results are the source objects themselves (Min).  An
-element an operator compares or hashes stays refused.  ``minimal=True``
-also ships a result field copied straight from an element as the index
-and reads it off the object at delivery.  A plan that stages an index
-is staged fully and emits no morsel-parameterized kernels.
+objects back up, so results are the source objects themselves (Min), and
+a result of whole elements gathers the index alone.  An element an
+operator compares or hashes stays refused.  ``minimal=True`` also reads
+a result field copied straight from an element off the object at
+delivery, through the one index column of its source.  A plan that
+stages an index is staged fully and emits no morsel-parameterized
+kernels.
 """
 
 from __future__ import annotations
@@ -82,6 +86,7 @@ from .native_backend import (
     Frame,
     VectorPrinter,
     _outside_fragment,
+    _preserves_rows,
     _VectorEmitter,
 )
 from .source import Backend
@@ -268,6 +273,9 @@ class _HybridEmitter(_VectorEmitter):
         self._bindings: Dict[int, Tuple[str, str]] = {}
         #: ordinal → (kept-objects list, row-index column) of carrying sources
         self._kept: Dict[int, Tuple[str, str]] = {}
+        #: gathered row-index code → the one vector every result field
+        #: read through that index shares
+        self._row_vectors: Dict[str, str] = {}
         self._stream_node: Optional[Plan] = None
         self._stream_ordinal: Optional[int] = None
 
@@ -489,7 +497,17 @@ class _HybridEmitter(_VectorEmitter):
             col = ColumnRef(row.code, f"{row.kind}:{name}")
         if col is None or _row_ref(col.kind) is None:
             return super()._output_column(expr, printer)
-        return ColumnRef(self._vector(printer._gather(col.code, index)), col.kind)
+        code = printer._gather(col.code, index)
+        if code not in self._row_vectors:
+            self._row_vectors[code] = self._vector(code)
+        return ColumnRef(self._row_vectors[code], col.kind)
+
+    def _sink_demand(self, pipeline: Pipeline) -> Optional[Set[str]]:
+        """Whole elements are delivered by their row index alone."""
+        if pipeline.sink is None and _preserves_rows(self.ir.plan):
+            if any(spec.carries for spec in self._staged.values()):
+                return {ROW}
+        return super()._sink_demand(pipeline)
 
     def _result_columns(
         self, frame: Frame, paths: Set[str]

@@ -440,13 +440,17 @@ class _VectorEmitter(EmitState):
     def _materialize(
         self, frame: Frame, suffix: str, needed: Optional[Set[str]]
     ) -> Frame:
-        """Apply an index/mask/slice to the needed columns, assigning vars."""
+        """Apply an index/mask/slice to the needed columns, assigning vars
+        (once per vector several columns share)."""
         columns = {}
+        done: Dict[str, str] = {}
         for name, col in frame.columns.items():
             if needed is not None and name not in needed:
                 continue
-            var = self.names.fresh("col")
-            self.writer.line(f"{var} = {col.code}{suffix}")
+            var = done.get(col.code)
+            if var is None:
+                var = done[col.code] = self.names.fresh("col")
+                self.writer.line(f"{var} = {col.code}{suffix}")
             columns[name] = ColumnRef(var, col.kind)
         if columns:
             first = next(iter(columns.values()))

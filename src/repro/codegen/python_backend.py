@@ -109,8 +109,7 @@ class _Emitter(EmitState):
         self._state: Dict[int, Dict[str, Any]] = {}
         #: id(Filter op) for filters whose conjuncts are all provably true
         self._stripped_filters = {
-            id(ir.pipelines[pid].operators[index])
-            for pid, index in self.elide.filters
+            id(ir.pipelines[pid].operators[index]) for pid, index in self.elide.filters
         }
 
     def _emit_body(self) -> None:

@@ -399,6 +399,38 @@ class TestMinJoinKinds:
         assert list(compiled.execute(list(query.sources), {})) == expected
 
 
+class TestMinRowIndex:
+    """``minimal=True`` carries one row-index column per source, however
+    many deferred result fields read through it."""
+
+    ITEMS = [item(a=i % 3, s=f"s{i}", b=float(i)) for i in range(20)]
+
+    def test_deferred_fields_share_one_index_column(self):
+        from repro.query import QueryProvider, from_iterable
+
+        query = (
+            from_iterable(self.ITEMS, token="min:one-index")
+            .using("hybrid", QueryProvider())
+            .where(lambda r: r.a == 1)
+            .select(lambda r: new(e=r, s=r.s, b=r.b))
+            .take(3)
+        )
+        shape = query.provider.shape(query.expr, list(query.sources))
+        source = shape.compile_with(HybridBackend(minimal=True)).source_code
+        lines = [line.strip() for line in source.splitlines()]
+        assert [line for line in lines if line.endswith("= row_1")] == [
+            "vec_1 = row_1"
+        ]
+        assert [line for line in lines if "[0:" in line] == [
+            "col_1 = vec_1[0:(0) + (_param___c1)]"
+        ]
+        rows = _pinned_rows(query, HybridBackend(minimal=True))
+        kept = [o for o in self.ITEMS if o.a == 1][:3]
+        assert len(rows) == len(kept) == 3
+        for row, obj in zip(rows, kept):
+            assert row.e is obj and row.s is obj.s and row.b is obj.b
+
+
 class TestMinMaxRule:
     """`hybrid` stages fields (Max); a whole element that escapes crosses
     as its row index, and the result holds the source object (Min)."""
@@ -655,6 +687,16 @@ class TestPinnedPolicies:
         if name == "join":
             rows, expected = sorted(map(tuple, rows)), sorted(map(tuple, expected))
         self._close(rows, expected)
+
+    def test_sort_cell_gathers_only_the_row_index(self, data):
+        # delivery reads the row index alone, so the sort key it was
+        # ordered by is not gathered again
+        query = self._queries(data)["sort"]("hybrid")
+        shape = query.provider.shape(query.expr, list(query.sources))
+        source = shape.compiled("hybrid").source_code
+        gathers = [line.strip() for line in source.splitlines() if "[order_1]" in line]
+        assert gathers == ["col_1 = row_1[order_1]"]
+        assert source.rstrip().endswith("return _gather_objects(objs_1, col_1)")
 
     @pytest.mark.parametrize("name", ("q1", "q3", "q4"))
     def test_min_aggregations_equal_linq(self, data, name):

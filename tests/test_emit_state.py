@@ -34,7 +34,9 @@ ELISION_TABLE = {
     "no-facts": ("1", None, Elision()),
     "no-division-sites": ("1", _facts(), Elision(avg=True)),
     "divisions-unproven": (
-        "1", _facts(division_sites=2, divisions_proven=1), Elision(avg=True)
+        "1",
+        _facts(division_sites=2, divisions_proven=1),
+        Elision(avg=True),
     ),
     "divisions-proven": (
         "1",

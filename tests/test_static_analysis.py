@@ -517,9 +517,7 @@ class TestCodeObjectGate:
         entry, _ = compile_source(_in_body("    global leak_1"), {})
         assert entry([[1, 5]], {"x": 2}) == [5]
 
-    def test_clean_module_parses_once_and_skips_the_ast_pass(
-        self, monkeypatch
-    ):
+    def test_clean_module_compiles_once_and_passes_the_gate(self, monkeypatch):
         compiles = []
 
         def counted(*args, **kwargs):
