@@ -5,7 +5,10 @@ generated program has two halves:
 
 * a **managed staging loop** (plain Python over the objects) that applies
   every scan-adjacent filter and copies exactly the fields the rest of the
-  query needs (the implicit projection of §6.2) into a native page;
+  query needs (the implicit projection of §6.2) into a native page.  Its
+  row tuple encodes strings and dates inline, with no per-row helper
+  frame; one ``np.fromiter`` pass builds the page, and one check per
+  string column turns an overflow into an error (:func:`_native_page`);
 * the **native half** — the same vectorized NumPy codegen as the §5
   backend — running over the staged arrays.
 
@@ -49,7 +52,7 @@ kernels.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -67,15 +70,15 @@ from ..plans.logical import (
     ScalarAggregate,
     plan_children,
 )
-from ..runtime.parallel import morsel_slice
 from ..runtime.streaming import StreamingGroupAggregator, StreamingJoinProbe
 from ..storage.buffers import DEFAULT_PAGE_BYTES
-from ..storage.schema import date_to_days
+from ..storage.schema import _EPOCH, Schema
 from .ir import (
     ROW,
     Pipeline,
     PipelineBreaker,
     QueryIR,
+    morsel_slice,
     physical_slots,
     required_source_fields,
     strip_scan_filters,
@@ -94,15 +97,63 @@ from .source import Backend
 __all__ = ["HybridBackend"]
 
 
-def _enc_str(value: str, width: int) -> bytes:
-    """Encode one string for staging; overflow is an error, not truncation."""
-    encoded = value.encode("utf-8")
-    if len(encoded) > width:
-        raise SchemaError(
-            f"string {value!r} exceeds the staged width {width}; the sampled "
-            f"schema underestimated this field"
-        )
-    return encoded
+class _PageLayout(NamedTuple):
+    """How staged rows land in native memory.
+
+    *wide* copies each ``S{w}`` field at ``S{w+1}``, so a value longer than
+    its staged width leaves a non-zero byte at offset ``w``; it is aligned
+    like a C struct, so numeric columns keep NumPy's aligned loops.
+    *narrow* shows the same bytes with every field at its staged width.
+    *spills* holds ``(tuple position, offset of byte w, w)`` per string.
+    """
+
+    wide: np.dtype
+    narrow: np.dtype
+    spills: Tuple[Tuple[int, int, int], ...]
+
+
+def _page_layout(schema: Schema) -> _PageLayout:
+    wide = np.dtype(
+        [
+            (f.name, f"S{f.size + 1}" if f.kind == "str" else f.dtype)
+            for f in schema.fields
+        ],
+        align=True,
+    )
+    offsets = [wide.fields[f.name][1] for f in schema.fields]
+    narrow = np.dtype(
+        {
+            "names": list(wide.names),
+            "formats": [f.dtype for f in schema.fields],
+            "offsets": offsets,
+            "itemsize": wide.itemsize,
+        }
+    )
+    spills = tuple(
+        (i, offsets[i] + f.size, f.size)
+        for i, f in enumerate(schema.fields)
+        if f.kind == "str"
+    )
+    return _PageLayout(wide, narrow, spills)
+
+
+def _native_page(rows: list, layout: _PageLayout) -> np.ndarray:
+    """Copy staged rows into one native page (§6.1.1); a string past its
+    staged width is an error, never truncated."""
+    page = np.fromiter(rows, layout.wide, count=len(rows))
+    if layout.spills:
+        raw = page.view(np.uint8).reshape(len(rows), layout.wide.itemsize)
+        spilled = raw[:, [offset for _, offset, _ in layout.spills]]
+        hits = np.flatnonzero(spilled.any(axis=1))
+        if hits.size:  # name the first overflowing element, as staged
+            row = int(hits[0])
+            position, _, width = layout.spills[int(spilled[row].argmax())]
+            value = rows[row][position].decode("utf-8")
+            raise SchemaError(
+                f"string {value!r} exceeds the staged width {width}; the "
+                f"sampled schema underestimated this field"
+            )
+    return page.view(layout.narrow)
 
 
 class HybridBackend(Backend):
@@ -250,8 +301,8 @@ class _HybridEmitter(_VectorEmitter):
         _VectorEmitter.RUNTIME,
         _StreamingGroupAggregator=StreamingGroupAggregator,
         _StreamingJoinProbe=StreamingJoinProbe,
-        _enc_str=_enc_str,
-        _to_days=date_to_days,
+        _native_page=_native_page,
+        _EPOCH=_EPOCH,
         _morsel_slice=morsel_slice,
     )
 
@@ -319,9 +370,9 @@ class _HybridEmitter(_VectorEmitter):
         for field in spec.schema.fields:
             access = f"{elem}.{field.name}"
             if field.kind == "str":
-                parts.append(f"_enc_str({access}, {field.size})")
+                parts.append(f"{access}.encode()")
             elif field.kind == "date":
-                parts.append(f"_to_days({access})")
+                parts.append(f"({access} - _EPOCH).days")
             else:
                 parts.append(access)
         trailing = "," if len(parts) == 1 else ""
@@ -352,7 +403,7 @@ class _HybridEmitter(_VectorEmitter):
         predicate = self._staging_predicate(spec, elem)
         stage: List[str] = []  # the statements run per kept element
         if spec.fields:
-            dtype_var = self.bind(spec.schema.numpy_dtype(), "dtype")
+            layout = self.bind(_page_layout(spec.schema), "layout")
             rows = self.names.fresh("rows")
             append = self.names.fresh("append")
             self.writer.line(f"{rows} = []")
@@ -379,11 +430,7 @@ class _HybridEmitter(_VectorEmitter):
             self._bindings[spec.ordinal] = ("count", length)
             return
         staged_var = self.names.fresh("staged")
-        # the bulk conversion is the copy into native memory (§6.1.1)
-        self.writer.line(
-            f"{staged_var} = _np.array({rows}, dtype={dtype_var}) "
-            f"if {rows} else _np.zeros(0, dtype={dtype_var})"
-        )
+        self.writer.line(f"{staged_var} = _native_page({rows}, {layout})")
         self._bindings[spec.ordinal] = ("array", staged_var)
 
     def _emit_streaming_staging(self, spec: StagedSource, consumer: str) -> None:
@@ -393,7 +440,7 @@ class _HybridEmitter(_VectorEmitter):
         triggers the bulk copy to native memory plus the consumer call, so
         the staging footprint stays fixed at one page.
         """
-        dtype_var = self.bind(spec.schema.numpy_dtype(), "dtype")
+        layout = self.bind(_page_layout(spec.schema), "layout")
         capacity = max(1, self._page_bytes // spec.schema.struct_size())
         page = self.names.fresh("page")
         append = self.names.fresh("append")
@@ -405,12 +452,12 @@ class _HybridEmitter(_VectorEmitter):
         def emit_stage() -> None:
             self.writer.line(f"{append}({self._encoded_fields(spec, elem)})")
             with self.writer.block(f"if len({page}) >= {capacity}:"):
-                self.writer.line(f"{consumer}(_np.array({page}, dtype={dtype_var}))")
+                self.writer.line(f"{consumer}(_native_page({page}, {layout}))")
                 self.writer.line(f"del {page}[:]")
 
         self._staging_loop(spec, elem, predicate, emit_stage)
         with self.writer.block(f"if {page}:"):
-            self.writer.line(f"{consumer}(_np.array({page}, dtype={dtype_var}))")
+            self.writer.line(f"{consumer}(_native_page({page}, {layout}))")
 
     # -- pipeline head: placement of the managed→native boundary --------------------
 

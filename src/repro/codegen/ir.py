@@ -24,6 +24,7 @@ Three shared analyses live here so no backend re-implements them:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import (
     Any,
@@ -94,6 +95,9 @@ __all__ = [
     "rebuild_plan",
     "eliminate_common_subexpressions",
     "physical_slots",
+    "MORSEL_START",
+    "MORSEL_STOP",
+    "morsel_slice",
 ]
 
 
@@ -691,3 +695,28 @@ class QueryIR:
 
     def describe(self) -> List[str]:
         return [f"p{p.pid}: {p.describe()}" for p in self.pipelines]
+
+
+# ---------------------------------------------------------------------------
+# Morsel parameters (the slice a morsel-parameterized kernel reads)
+# ---------------------------------------------------------------------------
+
+#: reserved parameter names the morsel-parameterized kernels slice with
+MORSEL_START = "__morsel_start"
+MORSEL_STOP = "__morsel_stop"
+
+
+def morsel_slice(source: Any, start: int, stop: int) -> Any:
+    """One morsel of *source*, used by generated managed staging loops.
+
+    Struct arrays slice their native data (zero-copy view); ordinary
+    sequences slice; anything merely re-iterable falls back to islice.
+    """
+    data = getattr(source, "data", None)
+    schema = getattr(source, "schema", None)
+    if data is not None and schema is not None and hasattr(schema, "decode_row"):
+        return type(source)(schema, data[start:stop])
+    try:
+        return source[start:stop]
+    except TypeError:
+        return itertools.islice(iter(source), start, stop)

@@ -11,8 +11,10 @@ questions decide what the staging code looks like:
 2. **What are their native types?** (`infer_object_schema`, here) C#
    answers by reflection; Python objects carry no static types, so we
    sample the collection and derive dtypes (string widths are measured
-   over the sample with headroom; overflow at staging time raises
-   :class:`~repro.errors.SchemaError` rather than truncating silently).
+   over the sample with headroom).  Staging copies each string one byte
+   wider and checks each string column once, after the page is built:
+   a value past its width raises :class:`~repro.errors.SchemaError`
+   rather than truncating silently.
 3. **Which filters run managed-side, before staging?** "We apply all
    filtering operations in C#" — the hybrid backend peels the filters
    sitting directly on each pipeline's scan into the staging loop; the

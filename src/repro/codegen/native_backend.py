@@ -947,33 +947,14 @@ class _VectorEmitter(EmitState):
             self.writer.line(
                 f"{stop} = int(_np.searchsorted({column}, {value_code}, side='right'))"
             )
-        child_needed = merge_fields(needed, self._fields_of(plan.predicate))
-        columns = {
-            f.name: ColumnRef(f"{src}[{f.name!r}][{start}:{stop}]", f.kind)
-            for f in schema.fields
-            if child_needed is None or f.name in child_needed
-        }
-        frame = Frame(columns, f"({stop} - {start})")
-        if not remaining:
-            out = self._materialize(frame, "", needed)
-            if not out.columns:
-                out.length_code = f"({stop} - {start})"
-            return out
-        (var,) = plan.predicate.params
-        rest = reduce(lambda a, b: Binary("and", a, b), remaining)
-        env = self._bind_cse(plan.predicate, {var: (frame, None)})
-        mask = self._vector(self._printer(env).emit(rest))
-        out = self._materialize(frame, f"[{mask}]", needed)
-        if not out.columns:
-            out.length_code = f"int({mask}.sum())"
-        return out
+        rows, length = f"{start}:{stop}", f"({stop} - {start})"
+        return self._access_path_tail(plan, src, rows, length, remaining, needed)
 
     def _emit_index_filter(
         self, plan: Filter, opportunity, needed: Optional[Set[str]]
     ) -> Frame:
         field_name, value_expr, remaining = opportunity
         scan: Scan = plan.child  # type: ignore[assignment]
-        schema = self._schemas[scan.ordinal]
         src = self.names.fresh("src")
         self.writer.line(f"{src} = sources[{scan.ordinal}].data")
         if isinstance(value_expr, Param):
@@ -985,17 +966,34 @@ class _VectorEmitter(EmitState):
             f"{sel} = sources[{scan.ordinal}].get_index({field_name!r})"
             f".lookup({value_code})"
         )
+        length = f"{sel}.shape[0]"
+        return self._access_path_tail(plan, src, sel, length, remaining, needed)
+
+    def _access_path_tail(
+        self,
+        plan: Filter,
+        src: str,
+        rows: str,
+        length: str,
+        remaining: List[Expr],
+        needed: Optional[Set[str]],
+    ) -> Frame:
+        """The scan's columns at *rows* (a slice or an index vector,
+        *length* long), then the conjuncts the access path left as a mask."""
+        schema = self._schemas[plan.child.ordinal]
         child_needed = merge_fields(needed, self._fields_of(plan.predicate))
-        columns = {
-            f.name: ColumnRef(f"{src}[{f.name!r}][{sel}]", f.kind)
-            for f in schema.fields
-            if child_needed is None or f.name in child_needed
-        }
-        frame = Frame(columns, f"{sel}.shape[0]")
+        frame = Frame(
+            {
+                f.name: ColumnRef(f"{src}[{f.name!r}][{rows}]", f.kind)
+                for f in schema.fields
+                if child_needed is None or f.name in child_needed
+            },
+            length,
+        )
         if not remaining:
             out = self._materialize(frame, "", needed)
             if not out.columns:
-                out.length_code = f"{sel}.shape[0]"
+                out.length_code = frame.length_code
             return out
         (var,) = plan.predicate.params
         rest = reduce(lambda a, b: Binary("and", a, b), remaining)

@@ -62,10 +62,9 @@ from ..plans.logical import (
 )
 from ..runtime.cancellation import cancel_check
 from ..runtime.hashtable import Grouping
-from ..runtime.parallel import morsel_slice
 from ..runtime.sorting import CompositeKey, quicksort_indexes
 from ..runtime.topn import TopNHeap
-from .ir import Pipeline, PipelineBreaker, QueryIR, physical_slots
+from .ir import Pipeline, PipelineBreaker, QueryIR, morsel_slice, physical_slots
 from .source import Backend, EmitState, _CodeVarPrinter
 
 __all__ = ["PythonBackend"]

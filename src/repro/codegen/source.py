@@ -36,9 +36,8 @@ from ..expressions.nodes import Var
 from ..expressions.printer import ScalarPrinter
 from ..observability.tracer import TRACER
 from ..options import env
-from ..runtime.parallel import MORSEL_START, MORSEL_STOP
 from .compiler import CompiledQuery, compile_source, timed
-from .ir import Pipeline, QueryIR
+from .ir import MORSEL_START, MORSEL_STOP, Pipeline, QueryIR
 from .lower import lower_plan
 
 __all__ = [

@@ -42,7 +42,6 @@ fuzz harness pins this down).
 from __future__ import annotations
 
 import datetime
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -54,7 +53,7 @@ from ..expressions.evaluator import interpret, make_record_type
 from ..observability.metrics import METRICS
 from ..observability.tracer import TRACER
 from ..options import DEFAULT_MORSEL_ROWS
-from ..codegen.ir import physical_slots
+from ..codegen.ir import MORSEL_START, MORSEL_STOP, morsel_slice, physical_slots
 from ..expressions.nodes import Expr, Lambda, Member, New, Var
 from ..plans.logical import (
     AggregateSpec,
@@ -91,30 +90,10 @@ __all__ = [
     "source_length",
 ]
 
-#: reserved parameter names the morsel-parameterized kernels slice with
-MORSEL_START = "__morsel_start"
-MORSEL_STOP = "__morsel_stop"
-
 _EMPTY_AGGREGATE_MSG = "aggregate of an empty sequence has no value"
 
 #: sentinel for a min/max partial over an empty morsel
 _NO_VALUE = object()
-
-
-def morsel_slice(source: Any, start: int, stop: int) -> Any:
-    """One morsel of *source*, used by generated managed staging loops.
-
-    Struct arrays slice their native data (zero-copy view); ordinary
-    sequences slice; anything merely re-iterable falls back to islice.
-    """
-    data = getattr(source, "data", None)
-    schema = getattr(source, "schema", None)
-    if data is not None and schema is not None and hasattr(schema, "decode_row"):
-        return type(source)(schema, data[start:stop])
-    try:
-        return source[start:stop]
-    except TypeError:
-        return itertools.islice(iter(source), start, stop)
 
 
 def rows_partial(result: Any) -> Any:

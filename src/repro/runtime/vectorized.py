@@ -102,9 +102,18 @@ def _ordered_ints(column: np.ndarray) -> Optional[np.ndarray]:
         return column
     if kind == "b":
         return column.view(np.uint8)
-    if kind == "S" and column.dtype.itemsize in (1, 2, 4, 8):
-        return column.view(f">u{column.dtype.itemsize}")
-    return None
+    width = column.dtype.itemsize
+    if kind != "S" or width not in (1, 2, 4, 8):
+        return None
+    ints = column.view(f">u{width}")
+    if width == 1:
+        return ints
+    # a short value in a wide field (b"A" as S8) ends in NUL padding every
+    # value shares; shifting it off keeps order and equality, and the range
+    # shrinks from 2**56-sized steps to byte-sized ones
+    present = int(np.bitwise_or.reduce(ints))
+    shift = ((present & -present).bit_length() - 1) // 8 * 8 if present else 0
+    return ints >> shift if shift else ints
 
 
 def _dense_offsets(ints: np.ndarray) -> Optional[Tuple[np.ndarray, int, int]]:

@@ -3,12 +3,14 @@
 import datetime
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.codegen.hybrid_backend import (
     HybridBackend,
-    _enc_str,
     _find_stream_target,
+    _native_page,
+    _page_layout,
     _staging_from_ir,
 )
 from repro.codegen.ir import ROW, required_source_fields
@@ -243,11 +245,115 @@ class TestStreamTarget:
         assert node is None
 
 
+#: a declared four-byte string field, so the staged width is exactly 4
+WIDTH4 = Schema([Field("s", "str", 4), Field("v", "float")], name="W4")
+
+
+def _staged_sums(values, backend):
+    """Group ``values`` (one element each) by themselves through *backend*."""
+    from repro.query import QList, from_iterable
+
+    items = QList([item(s=s, v=1.0) for s in values], schema=WIDTH4)
+    query = (
+        from_iterable(items, token="t:w4")
+        .using("hybrid")
+        .group_by(lambda i: i.s, lambda g: new(s=g.key, t=g.sum(lambda i: i.v)))
+    )
+    return [(r.s, r.t) for r in _pinned_rows(query, backend)]
+
+
+#: full staging, and buffered pages of three rows (12-byte rows, 36 bytes)
+STAGINGS = {
+    "full": HybridBackend,
+    "buffered": lambda: HybridBackend(buffered=True, page_bytes=36),
+}
+
+
 class TestStagingSafety:
-    def test_enc_str_rejects_overflow(self):
-        assert _enc_str("abc", 8) == b"abc"
+    def test_staging_rejects_overflow(self):
+        assert _staged_sums(["abc"], HybridBackend()) == [("abc", 1.0)]
         with pytest.raises(SchemaError, match="exceeds the staged width"):
-            _enc_str("a" * 99, 8)
+            _staged_sums(["a" * 99], HybridBackend())
+
+    @pytest.mark.parametrize("staging", sorted(STAGINGS))
+    @pytest.mark.parametrize(
+        "value, fits",
+        [
+            ("abcd", True),  # w bytes
+            ("ab\u00e9", True),  # a two-byte character ending at w
+            ("abcde", False),  # w + 1
+            ("x" * 13, False),  # 2w + 5
+            ("abc\u00e9", False),  # a two-byte character straddling w
+        ],
+    )
+    def test_overflow_at_the_width(self, staging, value, fits):
+        values = ["ab", "cd", "ef", "gh", value, "ab"]
+        if fits:
+            got = dict(_staged_sums(values, STAGINGS[staging]()))
+            assert got[value] == 1.0 and got["ab"] == 2.0
+            return
+        message = (
+            f"string {value!r} exceeds the staged width 4; the sampled schema "
+            f"underestimated this field"
+        )
+        with pytest.raises(SchemaError) as caught:
+            _staged_sums(values, STAGINGS[staging]())
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("staging", sorted(STAGINGS))
+    def test_overflow_names_the_first_element(self, staging):
+        values = ["ab", "first!", "cd", "second"]
+        with pytest.raises(SchemaError, match="'first!'"):
+            _staged_sums(values, STAGINGS[staging]())
+
+    @pytest.mark.parametrize("staging", sorted(STAGINGS))
+    def test_nul_bytes_past_the_width_read_as_padding(self, staging):
+        # a value whose bytes past w are all NUL stages as its first w
+        # bytes: the S4 column reads both back as b"abcd", since NUL is the
+        # padding of a fixed-width byte string
+        got = _staged_sums(["abcd\x00\x00"], STAGINGS[staging]())
+        assert got == [("abcd", 1.0)]
+
+    def test_page_keeps_the_staged_widths(self):
+        layout = _page_layout(WIDTH4)
+        page = _native_page([(b"abcd", 1.5)], layout)
+        assert page.dtype["s"] == np.dtype("S4") and page["s"][0] == b"abcd"
+        assert layout.wide["s"] == np.dtype("S5")
+        assert page.dtype.itemsize == layout.wide.itemsize  # a view, no copy
+        assert page["v"].flags.aligned  # S5 is padded like a C struct
+        assert _native_page([], layout).shape == (0,)
+
+    def test_page_conversions_match_np_array(self):
+        schema = Schema([Field("n", "int"), Field("x", "float")], name="N")
+        layout = _page_layout(schema)
+        dtype = schema.numpy_dtype()
+        rows = [(1.9, 2), (-3.5, True)]  # a float into an int field, and back
+        got = _native_page(rows, layout)
+        want = np.array(rows, dtype=dtype)
+        for name in dtype.names:
+            assert got[name].tolist() == want[name].tolist()
+        for bad, error in (((2**70, 0.0), OverflowError), ((None, 0.0), TypeError)):
+            with pytest.raises(error):
+                np.array([bad], dtype=dtype)
+            with pytest.raises(error):
+                _native_page([bad], layout)
+
+    def test_datetime_in_a_date_field_raises_type_error(self):
+        from repro.query import from_iterable
+
+        items = [item(d=datetime.datetime(2020, 1, 1), v=1.0)]
+        query = (
+            from_iterable(items, token="t:datetime")
+            .using("hybrid")
+            .group_by(lambda i: i.d, lambda g: new(d=g.key, n=g.count()))
+        )
+        with pytest.raises(TypeError):
+            query.to_list()
+
+    def test_none_in_a_string_field_raises_attribute_error(self):
+        # as the per-row helper did: None has no .encode()
+        with pytest.raises(AttributeError):
+            _staged_sums(["ab", None], HybridBackend())
 
     def test_string_growth_beyond_sample_raises_not_truncates(self):
         # first 1000 elements short; a later element overflows the sampled
@@ -703,3 +809,20 @@ class TestPinnedPolicies:
         build = self._queries(data)[name]
         rows = _pinned_rows(build("hybrid"), HybridBackend(minimal=True))
         self._close(rows, build("linq").to_list())
+
+
+class TestStagedKeys:
+    def test_q1_groups_its_staged_flags_densely(self):
+        # q1's one-character flags stage as S8 (the sampled width's floor);
+        # their shared NUL padding is shifted off, so the range is dense
+        from repro.observability import METRICS
+        from repro.tpch import TPCHData, q1
+
+        query = q1(TPCHData(scale=0.002, seed=3), "hybrid")
+        names = ("runtime.kernels.dense", "runtime.kernels.sorted.sparse")
+        before = [METRICS.counter(name).value for name in names]
+        query.to_list()
+        dense, sparse = (
+            METRICS.counter(name).value - was for name, was in zip(names, before)
+        )
+        assert dense > 0 and sparse == 0

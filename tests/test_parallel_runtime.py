@@ -8,6 +8,9 @@ sequential result of the same engine.
 """
 
 import datetime
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -131,6 +134,29 @@ class TestMorselSlice:
 # ---------------------------------------------------------------------------
 # merge edge cases, engine × worker × morsel
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.runtime",
+        "repro.runtime.parallel",
+        "repro.codegen.source",
+        "repro.codegen.hybrid_backend",
+        "repro.distributed.worker",
+    ],
+)
+def test_imports_first_in_a_fresh_interpreter(module):
+    # the morsel names live in codegen.ir, so no import order between the
+    # runtime and codegen packages can meet a half-initialised module
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {module}"], env=env, capture_output=True
+    )
+    assert done.returncode == 0, done.stderr.decode()
 
 
 class TestEmptyMorsels:

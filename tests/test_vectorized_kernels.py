@@ -434,6 +434,52 @@ class TestAgainstSortedOracles:
                     _same(a, b)
 
 
+def _short_keys(width):
+    """``S<width>`` pools of values shorter than the field, so trailing NUL
+    padding is shared and shifted off (embedded NULs included)."""
+    return _pool(f"S{width}", st.binary(max_size=width // 2))
+
+
+class TestShortKeyShift:
+    """An S2/S4/S8 key's common trailing NUL bytes are shifted off: codes
+    and group order stay those of ``np.unique``."""
+
+    @staticmethod
+    def _check(column):
+        codes, uniques = factorize(column)
+        want_uniques, want_codes = np.unique(column, return_inverse=True)
+        assert codes.tolist() == want_codes.tolist()
+        assert uniques.tolist() == want_uniques.tolist()
+        ints = vectorized._ordered_ints(column)
+        order = np.argsort(column, kind="stable")
+        assert np.argsort(ints, kind="stable").tolist() == order.tolist()
+
+    @given(
+        st.sampled_from([2, 4, 8]).flatmap(
+            lambda w: st.one_of(_short_keys(w), _byte_strings(w))
+        ),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_np_unique(self, pool, data):
+        rows = st.lists(st.integers(0, len(pool) - 1), max_size=40)
+        self._check(pool[np.array(data.draw(rows), dtype=np.int64)])
+
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            ([b"a\x00b", b"a", b"a\x00b", b"\x00a"], "S4"),  # embedded NULs
+            ([b"", b"", b""], "S8"),  # all empty
+            ([b"x"] * 5, "S2"),  # one distinct value
+            ([b"abcdefg\x02", b"abcdefg\x01", b"abcdefg"], "S8"),  # last byte
+            ([b"\x01\x00", b"\x00\x01", b"\xff\xff"], "S2"),  # shift 0
+            ([b"R", b"A", b"N", b"F", b"O"], "S8"),  # staged flags
+        ],
+    )
+    def test_edge_columns(self, values, dtype):
+        self._check(np.array(values, dtype=dtype))
+
+
 class TestPathTaken:
     """The counters are the evidence of which path a call took."""
 
@@ -458,6 +504,16 @@ class TestPathTaken:
         assert self._ran(
             lambda: group_aggregate([flags, words], [("count", None)])
         ) == {"dense": 3}
+
+    def test_short_values_in_wide_fields_are_dense(self):
+        # staged one-character flags: b"A" and b"R" as S8 lie 17 * 2**56
+        # apart until their shared NUL padding is shifted off
+        flags = np.tile(np.array([b"A", b"R", b"N", b"A"], dtype="S8"), 8)
+        assert self._ran(lambda: factorize(flags)) == {"dense": 1}
+
+    def test_one_byte_keys_are_viewed_in_place(self):
+        flags = np.array([b"A", b"R"], dtype="S1")
+        assert np.shares_memory(vectorized._ordered_ints(flags), flags)
 
     def test_sparse_range_falls_back(self):
         keys = np.array([0, 10**9, 5, 10**9], dtype=np.int64)
