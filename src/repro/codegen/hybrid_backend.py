@@ -7,8 +7,8 @@ generated program has two halves:
   every scan-adjacent filter and copies exactly the fields the rest of the
   query needs (the implicit projection of §6.2) into a native page.  Its
   row tuple encodes strings and dates inline, with no per-row helper
-  frame; one ``np.fromiter`` pass builds the page, and one check per
-  string column turns an overflow into an error (:func:`_native_page`);
+  frame; one check per string column turns an overflow into an error,
+  and one ``np.fromiter`` pass builds the page (:func:`_native_page`);
 * the **native half** — the same vectorized NumPy codegen as the §5
   backend — running over the staged arrays.
 
@@ -51,8 +51,8 @@ kernels.
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from operator import attrgetter, itemgetter
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -72,7 +72,7 @@ from ..plans.logical import (
 )
 from ..runtime.streaming import StreamingGroupAggregator, StreamingJoinProbe
 from ..storage.buffers import DEFAULT_PAGE_BYTES
-from ..storage.schema import _EPOCH, Schema
+from ..storage.schema import EPOCH, Schema
 from .ir import (
     ROW,
     Pipeline,
@@ -97,63 +97,33 @@ from .source import Backend
 __all__ = ["HybridBackend"]
 
 
-class _PageLayout(NamedTuple):
-    """How staged rows land in native memory.
+def _native_page(
+    rows: list, dtype: np.dtype, widths: Tuple[Tuple[int, int], ...]
+) -> np.ndarray:
+    """Copy staged rows into one native page (§6.1.1).
 
-    *wide* copies each ``S{w}`` field at ``S{w+1}``, so a value longer than
-    its staged width leaves a non-zero byte at offset ``w``; it is aligned
-    like a C struct, so numeric columns keep NumPy's aligned loops.
-    *narrow* shows the same bytes with every field at its staged width.
-    *spills* holds ``(tuple position, offset of byte w, w)`` per string.
+    ``np.fromiter`` would cut a string past its ``S{w}`` field, so each
+    string column's longest encoded value is checked against its staged
+    width first; *widths* holds ``(tuple position, w)`` per string field.
     """
-
-    wide: np.dtype
-    narrow: np.dtype
-    spills: Tuple[Tuple[int, int, int], ...]
-
-
-def _page_layout(schema: Schema) -> _PageLayout:
-    wide = np.dtype(
-        [
-            (f.name, f"S{f.size + 1}" if f.kind == "str" else f.dtype)
-            for f in schema.fields
-        ],
-        align=True,
-    )
-    offsets = [wide.fields[f.name][1] for f in schema.fields]
-    narrow = np.dtype(
-        {
-            "names": list(wide.names),
-            "formats": [f.dtype for f in schema.fields],
-            "offsets": offsets,
-            "itemsize": wide.itemsize,
-        }
-    )
-    spills = tuple(
-        (i, offsets[i] + f.size, f.size)
-        for i, f in enumerate(schema.fields)
-        if f.kind == "str"
-    )
-    return _PageLayout(wide, narrow, spills)
+    if any(
+        max(map(len, map(itemgetter(position), rows)), default=0) > width
+        for position, width in widths
+    ):
+        for row in rows:  # name the first overflowing element, as staged
+            for position, width in widths:
+                if len(row[position]) > width:
+                    raise SchemaError(
+                        f"string {row[position].decode('utf-8')!r} exceeds the "
+                        f"staged width {width}; the sampled schema "
+                        f"underestimated this field"
+                    )
+    return np.fromiter(rows, dtype, count=len(rows))
 
 
-def _native_page(rows: list, layout: _PageLayout) -> np.ndarray:
-    """Copy staged rows into one native page (§6.1.1); a string past its
-    staged width is an error, never truncated."""
-    page = np.fromiter(rows, layout.wide, count=len(rows))
-    if layout.spills:
-        raw = page.view(np.uint8).reshape(len(rows), layout.wide.itemsize)
-        spilled = raw[:, [offset for _, offset, _ in layout.spills]]
-        hits = np.flatnonzero(spilled.any(axis=1))
-        if hits.size:  # name the first overflowing element, as staged
-            row = int(hits[0])
-            position, _, width = layout.spills[int(spilled[row].argmax())]
-            value = rows[row][position].decode("utf-8")
-            raise SchemaError(
-                f"string {value!r} exceeds the staged width {width}; the "
-                f"sampled schema underestimated this field"
-            )
-    return page.view(layout.narrow)
+def _string_widths(schema: Schema) -> Tuple[Tuple[int, int], ...]:
+    """``(tuple position, w)`` of each string field of a staged row."""
+    return tuple((i, f.size) for i, f in enumerate(schema.fields) if f.kind == "str")
 
 
 class HybridBackend(Backend):
@@ -302,7 +272,7 @@ class _HybridEmitter(_VectorEmitter):
         _StreamingGroupAggregator=StreamingGroupAggregator,
         _StreamingJoinProbe=StreamingJoinProbe,
         _native_page=_native_page,
-        _EPOCH=_EPOCH,
+        _EPOCH=EPOCH,
         _morsel_slice=morsel_slice,
     )
 
@@ -378,6 +348,11 @@ class _HybridEmitter(_VectorEmitter):
         trailing = "," if len(parts) == 1 else ""
         return f"({', '.join(parts)}{trailing})"
 
+    def _page_args(self, spec: StagedSource) -> str:
+        """The page dtype and string widths :func:`_native_page` takes."""
+        dtype = self.bind(spec.schema.numpy_dtype(), "dtype")
+        return f"{dtype}, {_string_widths(spec.schema)!r}"
+
     def _staging_loop(
         self, spec: StagedSource, elem: str, predicate, emit_stage
     ) -> None:
@@ -403,7 +378,7 @@ class _HybridEmitter(_VectorEmitter):
         predicate = self._staging_predicate(spec, elem)
         stage: List[str] = []  # the statements run per kept element
         if spec.fields:
-            layout = self.bind(_page_layout(spec.schema), "layout")
+            page_args = self._page_args(spec)
             rows = self.names.fresh("rows")
             append = self.names.fresh("append")
             self.writer.line(f"{rows} = []")
@@ -430,7 +405,7 @@ class _HybridEmitter(_VectorEmitter):
             self._bindings[spec.ordinal] = ("count", length)
             return
         staged_var = self.names.fresh("staged")
-        self.writer.line(f"{staged_var} = _native_page({rows}, {layout})")
+        self.writer.line(f"{staged_var} = _native_page({rows}, {page_args})")
         self._bindings[spec.ordinal] = ("array", staged_var)
 
     def _emit_streaming_staging(self, spec: StagedSource, consumer: str) -> None:
@@ -440,7 +415,7 @@ class _HybridEmitter(_VectorEmitter):
         triggers the bulk copy to native memory plus the consumer call, so
         the staging footprint stays fixed at one page.
         """
-        layout = self.bind(_page_layout(spec.schema), "layout")
+        page_args = self._page_args(spec)
         capacity = max(1, self._page_bytes // spec.schema.struct_size())
         page = self.names.fresh("page")
         append = self.names.fresh("append")
@@ -452,12 +427,12 @@ class _HybridEmitter(_VectorEmitter):
         def emit_stage() -> None:
             self.writer.line(f"{append}({self._encoded_fields(spec, elem)})")
             with self.writer.block(f"if len({page}) >= {capacity}:"):
-                self.writer.line(f"{consumer}(_native_page({page}, {layout}))")
+                self.writer.line(f"{consumer}(_native_page({page}, {page_args}))")
                 self.writer.line(f"del {page}[:]")
 
         self._staging_loop(spec, elem, predicate, emit_stage)
         with self.writer.block(f"if {page}:"):
-            self.writer.line(f"{consumer}(_native_page({page}, {layout}))")
+            self.writer.line(f"{consumer}(_native_page({page}, {page_args}))")
 
     # -- pipeline head: placement of the managed→native boundary --------------------
 

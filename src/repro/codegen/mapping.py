@@ -11,9 +11,9 @@ questions decide what the staging code looks like:
 2. **What are their native types?** (`infer_object_schema`, here) C#
    answers by reflection; Python objects carry no static types, so we
    sample the collection and derive dtypes (string widths are measured
-   over the sample with headroom).  Staging copies each string one byte
-   wider and checks each string column once, after the page is built:
-   a value past its width raises :class:`~repro.errors.SchemaError`
+   over the sample with headroom).  Staging checks each string column's
+   longest encoded value once per page, before the page is built: a
+   value past its width raises :class:`~repro.errors.SchemaError`
    rather than truncating silently.
 3. **Which filters run managed-side, before staging?** "We apply all
    filtering operations in C#" — the hybrid backend peels the filters

@@ -33,6 +33,7 @@ import numpy as np
 from ..errors import SchemaError
 
 __all__ = [
+    "EPOCH",
     "Field",
     "Schema",
     "date_to_days",
@@ -41,7 +42,8 @@ __all__ = [
     "decode_value",
 ]
 
-_EPOCH = datetime.date(1970, 1, 1)
+#: day 0 of the native date encoding (days since the Unix epoch)
+EPOCH = datetime.date(1970, 1, 1)
 
 _KIND_DTYPES = {
     "int": np.dtype(np.int64),
@@ -56,12 +58,12 @@ _VALID_KINDS = frozenset(_KIND_DTYPES) | {"str"}
 
 def date_to_days(value: datetime.date) -> int:
     """Encode a date as days since the Unix epoch (native representation)."""
-    return (value - _EPOCH).days
+    return (value - EPOCH).days
 
 
 def days_to_date(days: int) -> datetime.date:
     """Decode a days-since-epoch integer back into a date."""
-    return _EPOCH + datetime.timedelta(days=int(days))
+    return EPOCH + datetime.timedelta(days=int(days))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ from repro.codegen.hybrid_backend import (
     HybridBackend,
     _find_stream_target,
     _native_page,
-    _page_layout,
     _staging_from_ir,
+    _string_widths,
 )
 from repro.codegen.ir import ROW, required_source_fields
 from repro.codegen.lower import lower_plan
@@ -284,6 +284,7 @@ class TestStagingSafety:
             ("abcde", False),  # w + 1
             ("x" * 13, False),  # 2w + 5
             ("abc\u00e9", False),  # a two-byte character straddling w
+            ("abcd\x00e", False),  # NUL at byte w, more bytes after it
         ],
     )
     def test_overflow_at_the_width(self, staging, value, fits):
@@ -307,28 +308,26 @@ class TestStagingSafety:
             _staged_sums(values, STAGINGS[staging]())
 
     @pytest.mark.parametrize("staging", sorted(STAGINGS))
-    def test_nul_bytes_past_the_width_read_as_padding(self, staging):
-        # a value whose bytes past w are all NUL stages as its first w
-        # bytes: the S4 column reads both back as b"abcd", since NUL is the
-        # padding of a fixed-width byte string
-        got = _staged_sums(["abcd\x00\x00"], STAGINGS[staging]())
-        assert got == [("abcd", 1.0)]
+    def test_nul_bytes_past_the_width_overflow(self, staging):
+        # the encoded length counts, not the bytes a page would keep: a
+        # value whose bytes past w are all NUL overflows like any other
+        with pytest.raises(SchemaError, match="exceeds the staged width 4"):
+            _staged_sums(["ab", "abcd\x00\x00"], STAGINGS[staging]())
 
-    def test_page_keeps_the_staged_widths(self):
-        layout = _page_layout(WIDTH4)
-        page = _native_page([(b"abcd", 1.5)], layout)
-        assert page.dtype["s"] == np.dtype("S4") and page["s"][0] == b"abcd"
-        assert layout.wide["s"] == np.dtype("S5")
-        assert page.dtype.itemsize == layout.wide.itemsize  # a view, no copy
-        assert page["v"].flags.aligned  # S5 is padded like a C struct
-        assert _native_page([], layout).shape == (0,)
+    def test_page_is_the_packed_struct_layout(self):
+        dtype = WIDTH4.numpy_dtype()
+        widths = _string_widths(WIDTH4)
+        assert widths == ((0, 4),)
+        page = _native_page([(b"abcd", 1.5)], dtype, widths)
+        assert page.dtype == dtype and page.dtype.itemsize == 12
+        assert page["s"][0] == b"abcd" and page["v"][0] == 1.5
+        assert _native_page([], dtype, widths).shape == (0,)
 
     def test_page_conversions_match_np_array(self):
         schema = Schema([Field("n", "int"), Field("x", "float")], name="N")
-        layout = _page_layout(schema)
         dtype = schema.numpy_dtype()
         rows = [(1.9, 2), (-3.5, True)]  # a float into an int field, and back
-        got = _native_page(rows, layout)
+        got = _native_page(rows, dtype, ())
         want = np.array(rows, dtype=dtype)
         for name in dtype.names:
             assert got[name].tolist() == want[name].tolist()
@@ -336,7 +335,7 @@ class TestStagingSafety:
             with pytest.raises(error):
                 np.array([bad], dtype=dtype)
             with pytest.raises(error):
-                _native_page([bad], layout)
+                _native_page([bad], dtype, ())
 
     def test_datetime_in_a_date_field_raises_type_error(self):
         from repro.query import from_iterable
