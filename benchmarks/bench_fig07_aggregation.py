@@ -28,27 +28,39 @@ def test_fig07_aggregation(benchmark, data, provider, engine, selectivity):
     benchmark.pedantic(drain, args=(query,), rounds=3, iterations=1, warmup_rounds=1)
 
 
+#: timed drains per report cell; the report takes their median
+ROUNDS = 7
+
+
 def test_fig07_report(benchmark, data, provider, results_dir):
-    """One full selectivity sweep; writes results/fig07_aggregation.txt."""
+    """One full selectivity sweep; writes results/fig07_aggregation.txt.
+
+    Each cell is the median of :data:`ROUNDS` warm drains.  Every round
+    drains each engine once, so drift spreads over the engines alike.
+    """
 
     def sweep():
         lines = [
             "Figure 7: aggregation over selection; evaluation time (ms) by selectivity",
+            f"median of {ROUNDS} warm rounds per cell, engines interleaved",
             "selectivity  " + "  ".join(f"{e:>16s}" for e in ENGINES),
         ]
         for selectivity in SWEEP:
-            cells = []
-            for engine in ENGINES:
-                query = column_query(
-                    aggregation_micro, data, engine, selectivity, provider
-                )
+            queries = [
+                column_query(aggregation_micro, data, engine, selectivity, provider)
+                for engine in ENGINES
+            ]
+            for query in queries:
                 drain(query)  # warm the query cache / compile once
-                started = time.perf_counter()
-                drain(query)
-                ms = (time.perf_counter() - started) * 1e3
-                cells.append(ms)
+            times = [[] for _ in ENGINES]
+            for _ in range(ROUNDS):
+                for query, cell in zip(queries, times):
+                    started = time.perf_counter()
+                    drain(query)
+                    cell.append((time.perf_counter() - started) * 1e3)
             lines.append(
-                f"{selectivity:>11.1f}  " + "  ".join(f"{c:>16.1f}" for c in cells)
+                f"{selectivity:>11.1f}  "
+                + "  ".join(f"{statistics.median(c):>16.1f}" for c in times)
             )
         return lines
 

@@ -629,8 +629,6 @@ class Pipeline:
     driver_ordinal: Optional[int] = None
     #: True when the driver scan is the morsel-sliced one
     morsel_driver: bool = False
-    #: True when this pipeline sits on a morsel-parallelizable path
-    parallel_ok: bool = False
     #: True when backends should emit a cooperative-cancellation
     #: checkpoint (``_cancel_check(_params)``) at this pipeline's head;
     #: deliberately excluded from :meth:`describe` so EXPLAIN output —
@@ -651,8 +649,6 @@ class Pipeline:
         text = " | ".join(parts) + f" => {self.sink_label()}"
         if self.morsel_driver:
             text += " [morsel-driver]"
-        elif self.parallel_ok:
-            text += " [parallel-eligible]"
         return text
 
 
@@ -662,8 +658,9 @@ class QueryIR:
 
     ``pipelines`` is in execution order (producers before consumers —
     creation order is a topological order of the DAG).  ``plan`` is the
-    plan the backends actually emit: predicates reordered, repeated
-    subexpressions hoisted (``cse``), multi-conjunct filters decomposed.
+    plan the backends actually emit: the optimized plan with repeated
+    subexpressions hoisted (``cse``) and multi-conjunct filters
+    decomposed.
     """
 
     plan: Plan
@@ -673,8 +670,6 @@ class QueryIR:
     cse: CseTable
     #: whole-plan scan ordinal → fields read (None = whole elements)
     source_fields: Dict[int, Optional[Set[str]]]
-    #: the morsel-parallel decision (codegen/lower.ParallelSplit)
-    split: Any
     morsel_ordinal: Optional[int]
     scalar: bool
     #: dataflow facts (repro.analysis.DataflowFacts), attached by the

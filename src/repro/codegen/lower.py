@@ -1,31 +1,32 @@
 """Lowering: optimized logical plan → pipeline IR.
 
 :func:`lower_plan` runs the passes every backend used to re-implement
-privately, once, in a fixed order:
+privately, once, in a fixed order.  It takes the plan as the optimizer
+left it: conjunct order is the optimizer's (or the caller's, for a plan
+handed directly to a backend) and is not re-sorted here.
 
-1. **predicate reordering** — re-applies the optimizer's conjunct
-   ordering (cheapest/most-selective first, reusing ``predicate_cost``).
-   Idempotent over already-optimized plans; plans handed directly to a
-   backend get the ordering here.
-2. **common-subexpression elimination** — repeated subexpressions inside
+1. **common-subexpression elimination** — repeated subexpressions inside
    filter predicates and projection selectors hoist into per-lambda
    ``__cse<N>`` bindings (see :mod:`repro.codegen.ir`), evaluated once
-   per element by every backend.
-3. **predicate decomposition** — multi-conjunct filters split into a
-   cascade of single-conjunct filters (order preserved from pass 1), so
+   per element by every backend.  The same walk rejects plan nodes no
+   pass understands.
+2. **predicate decomposition** — multi-conjunct filters split into a
+   cascade of single-conjunct filters (conjunct order preserved), so
    vectorized backends evaluate later conjuncts over already-shrunk
    intermediates.  Scan-adjacent filters stay fused: their conjunction
    participates in access-path selection (index/cluster fast paths) and
    forms the hybrid staging predicate; filters that gained CSE bindings
    also stay fused so the binding spans its conjuncts.
-4. **segmentation** — the plan splits into :class:`~repro.codegen.ir.
+3. **segmentation** — the plan splits into :class:`~repro.codegen.ir.
    Pipeline` objects at blocking operators, in dependency order (the
    paper's "each loop either produces the final result of a query or an
    intermediate result of a blocking operation").
-5. **annotation** — each pipeline gets its required-fields set (the
-   shared field-usage pass of ``ir``), parallel-eligibility (the
-   :func:`decide_parallel` / :func:`decide_distributed` verdicts) and its
-   morsel-slice point.
+4. **annotation** — each pipeline gets its required-fields set (the
+   shared field-usage pass of ``ir``) and its morsel-slice point.
+
+Whether a plan splits across morsels or shards is not a lowering pass:
+:func:`decide_parallel` / :func:`decide_distributed` judge the optimized
+plan once per tier, and the provider memoises the verdict on the shape.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from ..plans.logical import (
     is_blocking,
     plan_children,
 )
-from ..plans.optimizer import OptimizeOptions, _Context, _reorder_predicates
 from .ir import (
     CseAllocator,
     Pipeline,
@@ -107,9 +107,12 @@ def lower_plan(
     statistics: Optional[Dict[str, Any]] = None,
     param_values: Optional[Dict[str, Any]] = None,
 ) -> QueryIR:
-    """Lower an optimized plan into the pipeline IR all backends consume."""
-    plan = _reorder_filters(plan, statistics, param_values)
-    split = decide_parallel(plan)
+    """Lower an optimized plan into the pipeline IR all backends consume.
+
+    *statistics* and *param_values* are accepted and ignored: lowering
+    keeps the plan's conjunct order, and some callers still pass the
+    optimizer's inputs along.
+    """
     plan, cse = _eliminate_subexpressions(plan)
     plan = _decompose_filters(plan, cse)
     pipelines, breakers = _segment(plan)
@@ -126,56 +129,19 @@ def lower_plan(
             pipeline.morsel_driver = (
                 morsel_ordinal is not None and ordinal == morsel_ordinal
             )
-            pipeline.parallel_ok = (
-                split.parallel and ordinal == split.morsel_ordinal
-            )
     return QueryIR(
         plan=plan,
         pipelines=tuple(pipelines),
         breakers=tuple(breakers),
         cse=cse,
         source_fields=source_fields,
-        split=split,
         morsel_ordinal=morsel_ordinal,
         scalar=isinstance(plan, ScalarAggregate),
     )
 
 
 # ---------------------------------------------------------------------------
-# Pass 1: predicate reordering (reuses the optimizer's machinery)
-# ---------------------------------------------------------------------------
-
-
-def _reorder_filters(
-    plan: Plan,
-    statistics: Optional[Dict[str, Any]],
-    param_values: Optional[Dict[str, Any]],
-) -> Plan:
-    """Sort every filter's conjuncts cheapest-first.
-
-    Delegates to :func:`repro.plans.optimizer._reorder_predicates` with
-    the same statistics/parameters the optimizer saw, so re-sorting an
-    already-optimized plan is a stable no-op (statistics-driven orderings
-    are preserved, not clobbered).
-    """
-    context = _Context(OptimizeOptions(), statistics or {}, param_values or {})
-
-    def visit(node: Plan) -> Plan:
-        _check_known(node)
-        rebuilt = (
-            node
-            if isinstance(node, Scan)
-            else rebuild_plan(node, [visit(c) for c in plan_children(node)])
-        )
-        if isinstance(rebuilt, Filter):
-            rebuilt = _reorder_predicates(rebuilt, context)
-        return rebuilt
-
-    return visit(plan)
-
-
-# ---------------------------------------------------------------------------
-# Pass 2: common-subexpression elimination
+# Pass 1: common-subexpression elimination
 # ---------------------------------------------------------------------------
 
 
@@ -185,7 +151,8 @@ def _eliminate_subexpressions(plan: Plan) -> Tuple[Plan, Dict[int, tuple]]:
     Applied to filter predicates and aggregate-free projection selectors
     (the 1-ary lambdas every backend inlines per element).  Returns the
     rewritten plan plus the binding table keyed by the identity of the
-    rewritten lambdas.
+    rewritten lambdas.  Raises :class:`~repro.errors.CodegenError` on a
+    plan node no lowering pass understands.
     """
     allocator = CseAllocator()
     cse: Dict[int, tuple] = {}
@@ -197,6 +164,7 @@ def _eliminate_subexpressions(plan: Plan) -> Tuple[Plan, Dict[int, tuple]]:
         return new_lam
 
     def visit(node: Plan) -> Plan:
+        _check_known(node)
         children = [visit(c) for c in plan_children(node)]
         if isinstance(node, Filter):
             return Filter(children[0], rewrite(node.predicate))
@@ -212,14 +180,14 @@ def _eliminate_subexpressions(plan: Plan) -> Tuple[Plan, Dict[int, tuple]]:
 
 
 # ---------------------------------------------------------------------------
-# Pass 3: predicate decomposition
+# Pass 2: predicate decomposition
 # ---------------------------------------------------------------------------
 
 
 def _decompose_filters(plan: Plan, cse: Dict[int, tuple]) -> Plan:
     """Split multi-conjunct filters into single-conjunct cascades.
 
-    Conjunct order (established by pass 1) is preserved: the first
+    Conjunct order (the optimizer's) is preserved: the first
     conjunct becomes the innermost filter.  Scan-adjacent filters and
     filters carrying CSE bindings stay fused (see module docstring).
     """
@@ -252,7 +220,7 @@ def _decompose_filters(plan: Plan, cse: Dict[int, tuple]) -> Plan:
 
 
 # ---------------------------------------------------------------------------
-# Pass 4: segmentation into pipelines
+# Pass 3: segmentation into pipelines
 # ---------------------------------------------------------------------------
 
 #: non-blocking operators that fuse into a pipeline's operator chain

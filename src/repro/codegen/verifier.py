@@ -37,7 +37,9 @@ The same net covers the layer *above* the printers: :func:`verify_ir`
 checks the pipeline IR every backend lowers from (every breaker
 materializes exactly once and is consumed downstream exactly once, the
 schedule is topologically ordered, and no pipeline reads a source field
-outside its required-field annotation).
+outside its required-field annotation), and :func:`verify_facts` re-derives
+the dataflow facts.  Both run off the hot path — in the tests, the
+selftest below and ``scripts/analyze_query.py`` — never in the provider.
 
 ``python -m repro.codegen.verifier --selftest`` generates TPC-H Q1–Q3 on
 every codegen engine, checks that the gate accepts each emitted module and

@@ -100,16 +100,24 @@ def _pipeline_section(
 ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     """Render the pipeline schedule of the shared IR, one line per
     pipeline (id, driver, fused operators, sink breaker), plus the
-    dataflow-fact lines; a hybrid additionally shows each pipeline's
-    placement: scan-driven pipelines start in the managed
+    dataflow-fact lines.  The pipeline the thread tier would morselize
+    is marked parallel-eligible; a hybrid additionally shows each
+    pipeline's placement: scan-driven pipelines start in the managed
     staging loop, breaker-driven ones run native end to end."""
     try:
         ir = shape.ir()
     except UnsupportedQueryError:
         return (), ()
+    split = shape.split("threads")
     lines = []
     for pipeline in ir.pipelines:
         text = f"p{pipeline.pid}: {pipeline.describe()}"
+        if (
+            split.parallel
+            and not pipeline.morsel_driver
+            and pipeline.driver_ordinal == split.morsel_ordinal
+        ):
+            text += " [parallel-eligible]"
         if engine == "hybrid":
             staged = isinstance(pipeline.driver, Scan)
             text += " [managed staging -> native]" if staged else " [native]"

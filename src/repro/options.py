@@ -106,7 +106,7 @@ _DECLARED = (
     Variable("REPRO_ADAPTIVE_EPSILON", _rate, 0.05, "chooser exploration rate"),
     Variable("REPRO_TRACE", _flag, False, "process-wide tracing (read at startup)"),
     Variable("REPRO_GUARD_ELISION", _flag, True, "proof-driven guard elision"),
-    Variable("REPRO_VERIFY_GENERATED", _flag, True, "verify generated modules and IR"),
+    Variable("REPRO_VERIFY_GENERATED", _flag, True, "gate every generated module"),
     Variable("REPRO_SERVICE_SLOTS", _count(1), 4, "admission run slots"),
     Variable("REPRO_INGEST_SLOTS", _count(1), 2, "ingest write slots"),
     Variable("REPRO_QUERY_TIMEOUT", _seconds, None, "default deadline in seconds"),

@@ -15,7 +15,7 @@ were computed at.  On re-execution of a cached query whose driver source
 only **grew** (sanctioned appends bump the version monotonically), the
 plan's morsel-merge classification decides what happens:
 
-* **delta** — the plan splits into morsel kernels (``parallel_ok``) whose
+* **delta** — the plan splits into morsel kernels (``Shape.split``) whose
   partials merge associatively (rows-concat, scalar folds with the
   avg→sum+count decomposition, partial group tables through
   :class:`~repro.runtime.streaming.StreamingGroupAggregator`), so the

@@ -29,7 +29,6 @@ from ..codegen.lower import (
 )
 from ..codegen.native_backend import NativeBackend
 from ..codegen.python_backend import PythonBackend
-from ..codegen.verifier import check_facts, check_ir
 from ..errors import DistributedError, UnsupportedQueryError
 from ..expressions.canonical import CanonicalQuery
 from ..expressions.typing import QueryAnalysis, analyze_query
@@ -223,14 +222,7 @@ class Shape:
     def _lower(self) -> QueryIR:
         plan = self.plan()
         with TRACER.span("query.lower"):
-            ir = lower_plan(
-                plan,
-                statistics=self._provider.statistics,
-                param_values=self.bindings,
-            )
-            if env("REPRO_VERIFY_GENERATED"):
-                check_ir(ir)
-        return ir
+            return lower_plan(plan)
 
     def facts(self) -> Any:
         """Dataflow facts for this call's bindings.
@@ -264,8 +256,6 @@ class Shape:
             facts = analyze_ir(
                 ir, param_values=self.bindings, statistics=statistics
             )
-            if env("REPRO_VERIFY_GENERATED"):
-                check_facts(ir, self.bindings, statistics, facts=facts)
         METRICS.counter("analysis.facts_derived").add()
         if env("REPRO_GUARD_ELISION"):
             elidable = facts.guards_elidable()
@@ -412,14 +402,10 @@ class Shape:
 
         def compile_kernel(partial: Plan) -> CompiledQuery:
             # partial plans differ from the sequential IR, so each lowers
-            # its own — with the same statistics, so conjunct order (and
-            # therefore kernel code) matches the sequential artifact
-            partial_ir = lower_plan(
-                partial,
-                morsel_ordinal=split.morsel_ordinal,
-                statistics=statistics,
-                param_values=bindings,
-            )
+            # its own; both are cut from the one optimized plan, so
+            # conjunct order (and therefore kernel code) matches the
+            # sequential artifact
+            partial_ir = lower_plan(partial, morsel_ordinal=split.morsel_ordinal)
             partial_ir.facts = analyze_ir(
                 partial_ir, param_values=bindings, statistics=statistics
             )

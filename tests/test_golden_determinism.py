@@ -3,7 +3,7 @@
 Two fresh providers (separate caches, separate name allocators) given the
 same query must emit byte-identical modules on every codegen engine.  This
 pins down the whole lowering path — canonicalization, optimization, the
-shared pipeline IR (CSE binding order, conjunct reordering, pipeline
+shared pipeline IR (CSE binding order, conjunct order, pipeline
 numbering), and the printers — as deterministic, which the EXPLAIN goldens
 and the compiled-artifact cache both rely on.
 """

@@ -503,7 +503,7 @@ class TestCodeObjectGate:
         [case[1:] for case in GATED],
         ids=[case[0] for case in GATED],
     )
-    def test_gate_rejects_and_ast_pass_explains(self, source, namespace, says):
+    def test_gate_rejects_naming_the_line(self, source, namespace, says):
         with pytest.raises(GeneratedCodeViolation) as excinfo:
             compile_source(source, dict(namespace))
         violations = excinfo.value.violations
